@@ -22,7 +22,7 @@
 #include <fstream>
 
 #include "bench_common.h"
-#include "ctrl/control_loop.h"
+#include "ctrl/service.h"
 
 using namespace corral;
 
@@ -30,9 +30,13 @@ namespace {
 
 ControlLoopResult run_loop(const W1Config& workload,
                            ControlLoopConfig config) {
-  std::vector<RecurringPipeline> fleet = make_recurring_fleet(
-      workload, config.warmup_days, config.epochs, config.seed);
-  return run_control_loop(std::move(fleet), config);
+  ServiceConfig service;
+  service.loop = std::move(config);
+  std::vector<ServiceTenant> fleet =
+      make_service_fleet(workload, service.loop.warmup_days,
+                         service.loop.epochs, service.loop.seed, 1);
+  return std::move(
+      run_control_service(std::move(fleet), service).tenants[0].loop);
 }
 
 void print_row(const char* name, const ControlLoopResult& r) {

@@ -18,7 +18,7 @@
 #include <fstream>
 
 #include "bench_common.h"
-#include "ctrl/control_loop.h"
+#include "ctrl/service.h"
 
 using namespace corral;
 
@@ -30,11 +30,15 @@ struct LoopRun {
 };
 
 LoopRun run_loop(const W1Config& workload, ControlLoopConfig config) {
-  std::vector<RecurringPipeline> fleet = make_recurring_fleet(
-      workload, config.warmup_days, config.epochs, config.seed);
+  ServiceConfig service;
+  service.loop = std::move(config);
+  std::vector<ServiceTenant> fleet =
+      make_service_fleet(workload, service.loop.warmup_days,
+                         service.loop.epochs, service.loop.seed, 1);
   const auto start = std::chrono::steady_clock::now();
   LoopRun run;
-  run.result = run_control_loop(std::move(fleet), config);
+  run.result = std::move(
+      run_control_service(std::move(fleet), service).tenants[0].loop);
   const auto stop = std::chrono::steady_clock::now();
   run.wall_seconds = std::chrono::duration<double>(stop - start).count();
   return run;

@@ -38,17 +38,18 @@ int main() {
   struct Combo {
     const char* label;
     bool corral;
-    bool varys;
+    NetPolicy net;
     std::vector<double> jct;
   };
-  std::vector<Combo> combos = {{"yarn-cs + tcp", false, false, {}},
-                               {"yarn-cs + varys", false, true, {}},
-                               {"corral  + tcp", true, false, {}},
-                               {"corral  + varys", true, true, {}}};
+  std::vector<Combo> combos = {
+      {"yarn-cs + tcp", false, NetPolicy::kTcp, {}},
+      {"yarn-cs + varys", false, NetPolicy::kVarys, {}},
+      {"corral  + tcp", true, NetPolicy::kTcp, {}},
+      {"corral  + varys", true, NetPolicy::kVarys, {}}};
 
   for (Combo& combo : combos) {
     SimConfig config = sim;
-    config.use_varys = combo.varys;
+    config.net_policy = combo.net;
     SimResult result;
     if (combo.corral) {
       CorralPolicy policy(&planned.lookup);

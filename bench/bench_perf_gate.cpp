@@ -25,7 +25,6 @@
 #include <string>
 
 #include "bench_common.h"
-#include "ctrl/control_loop.h"
 #include "ctrl/service.h"
 #include "plan/backend.h"
 
@@ -122,17 +121,18 @@ double ctrl_workload(NetPolicy net_policy = NetPolicy::kTcp) {
   W1Config workload;
   workload.num_jobs = 20;
   workload.task_scale = 0.25;
-  ControlLoopConfig config;
-  config.cluster = bench::testbed();
-  config.epochs = 12;
-  config.warmup_days = 14;
-  config.outages = {{6, 3}};
-  config.net_policy = net_policy;
-  config.pool = &bench::pool();
+  ServiceConfig config;
+  config.loop.cluster = bench::testbed();
+  config.loop.epochs = 12;
+  config.loop.warmup_days = 14;
+  config.loop.outages = {{6, 3}};
+  config.loop.net_policy = net_policy;
+  config.loop.pool = &bench::pool();
   return min_of(2, [&] {
-    std::vector<RecurringPipeline> fleet = make_recurring_fleet(
-        workload, config.warmup_days, config.epochs, config.seed);
-    (void)run_control_loop(std::move(fleet), config);
+    std::vector<ServiceTenant> fleet =
+        make_service_fleet(workload, config.loop.warmup_days,
+                           config.loop.epochs, config.loop.seed, 1);
+    (void)run_control_service(std::move(fleet), config);
   });
 }
 

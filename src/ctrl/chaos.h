@@ -5,7 +5,7 @@
 // messy runtime. PR 1 gave the *cluster* fault injection (§7: machine
 // churn, rack outages, stragglers); this module injects faults into the
 // *control plane itself* — the predictor, the planner, the plan cache and
-// the loop process — so the guardrail policy in run_control_loop can be
+// the loop process — so the guardrail policy in each TenantLoop can be
 // exercised and measured (bench_chaos).
 //
 // Everything derives from (spec, seed): the full fault schedule is

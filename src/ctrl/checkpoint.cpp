@@ -15,8 +15,7 @@ namespace corral {
 namespace {
 
 constexpr std::string_view kMagic = "corral-checkpoint";
-constexpr std::string_view kVersion = "v1";
-constexpr std::string_view kVersionService = "v2";
+constexpr std::string_view kVersion = "v2";
 
 std::uint64_t fnv1a(std::string_view text) {
   std::uint64_t hash = 14695981039346656037ull;
@@ -277,8 +276,7 @@ EpochReport get_report(Reader& r) {
 }
 
 // The per-tenant body: everything one TenantLoop mutates across epochs,
-// from the "state" line through the "rf" section. A v1 checkpoint has
-// exactly one; a v2 service checkpoint has one per tenant.
+// from the "state" line through the "rf" section; one per tenant.
 void put_body(Writer& w, const CheckpointState& state) {
   w.word("state");
   w.integer(state.next_epoch);
@@ -294,7 +292,8 @@ void put_body(Writer& w, const CheckpointState& state) {
   w.endl();
 
   require(state.planning_inputs.size() == state.histories.size(),
-          "serialize_checkpoint: planning_inputs/histories size mismatch");
+          "serialize_service_checkpoint: planning_inputs/histories size "
+          "mismatch");
   w.word("pipelines");
   w.integer(static_cast<long long>(state.histories.size()));
   w.endl();
@@ -577,37 +576,10 @@ std::uint64_t control_loop_fingerprint(
   return f.value();
 }
 
-std::string serialize_checkpoint(const CheckpointState& state) {
-  Writer w;
-  w.word(kMagic);
-  w.word(kVersion);
-  w.endl();
-  w.word("config");
-  w.u64(state.config_fingerprint);
-  w.endl();
-  put_body(w, state);
-  put_trace(w, state.trace);
-  return seal(w);
-}
-
-CheckpointState deserialize_checkpoint(const std::string& text) {
-  const std::string_view body = verify_checksum(text);
-  Reader r(body);
-  r.expect(kMagic);
-  r.expect(kVersion);
-  CheckpointState state;
-  r.expect("config");
-  state.config_fingerprint = r.u64();
-  get_body(r, state);
-  get_trace(r, state.trace);
-  r.finish();
-  return state;
-}
-
 std::string serialize_service_checkpoint(const ServiceCheckpointState& state) {
   Writer w;
   w.word(kMagic);
-  w.word(kVersionService);
+  w.word(kVersion);
   w.endl();
   w.word("config");
   w.u64(state.config_fingerprint);
@@ -631,7 +603,7 @@ ServiceCheckpointState deserialize_service_checkpoint(
   const std::string_view body = verify_checksum(text);
   Reader r(body);
   r.expect(kMagic);
-  r.expect(kVersionService);
+  r.expect(kVersion);
   ServiceCheckpointState state;
   r.expect("config");
   state.config_fingerprint = r.u64();
@@ -650,30 +622,6 @@ ServiceCheckpointState deserialize_service_checkpoint(
   get_trace(r, state.trace);
   r.finish();
   return state;
-}
-
-void write_checkpoint(const std::string& path, const CheckpointState& state) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open " + tmp + " for write");
-    out << serialize_checkpoint(state);
-    if (!out) throw std::runtime_error("write to " + tmp + " failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("rename " + tmp + " -> " + path + " failed");
-  }
-}
-
-CheckpointState read_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open checkpoint " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    throw std::runtime_error("read from " + path + " failed");
-  }
-  return deserialize_checkpoint(buffer.str());
 }
 
 void write_service_checkpoint(const std::string& path,

@@ -1,23 +1,25 @@
-// Control-loop checkpoint/restore (docs/control_plane.md "Failure modes
+// Control-plane checkpoint/restore (docs/control_plane.md "Failure modes
 // and guardrails").
 //
-// After every completed epoch the loop can persist its entire mutable
-// state — plan cache, response-function memo, predictor histories, sticky
-// planning sizes, error-budget machine, per-epoch reports and the trace
-// events recorded so far — to a single versioned, checksummed text file. A
-// later `corral_loop --resume <ckpt>` (after a real kill or a chaos kCrash)
-// reconstructs that state and continues from the next epoch; because the
-// loop is virtual-time and seed-driven, the resumed run's reports, traces
-// and metrics are byte-identical to an uninterrupted run at any pool width.
+// After every completed epoch the service can persist its entire mutable
+// state — per tenant: plan cache, response-function memo, predictor
+// histories, sticky planning sizes, error-budget machine and per-epoch
+// reports; shared: the trace events recorded so far — to a single
+// versioned, checksummed text file. A later `corral_loop --resume <ckpt>`
+// (after a real kill or a chaos kCrash) reconstructs that state and
+// continues from the next epoch; because the loop is virtual-time and
+// seed-driven, the resumed run's reports, traces and metrics are
+// byte-identical to an uninterrupted run at any pool width.
 //
-// Format: line-oriented text. The first line is a version magic; every
-// floating-point value is stored as the hex image of its IEEE-754 bits
-// (exact round-trip — obs::format_double's shortest-decimal form is for
-// human-facing JSON, not for state); strings are length-prefixed raw
-// bytes; the last line is an FNV-1a checksum of everything before it.
-// read_checkpoint rejects a bad magic, a truncated body or a checksum
-// mismatch with std::invalid_argument — a torn write surfaces as a clean
-// error, never as silently wrong state.
+// Format (v2, the only one): line-oriented text. The first line is a
+// version magic; every floating-point value is stored as the hex image of
+// its IEEE-754 bits (exact round-trip — obs::format_double's
+// shortest-decimal form is for human-facing JSON, not for state); strings
+// are length-prefixed raw bytes; the last line is an FNV-1a checksum of
+// everything before it. Reading rejects a bad magic or version (including
+// a retired v1 file), a truncated body or a checksum mismatch with
+// std::invalid_argument — a torn or stale file surfaces as a clean error,
+// never as silently wrong state.
 #ifndef CORRAL_CTRL_CHECKPOINT_H_
 #define CORRAL_CTRL_CHECKPOINT_H_
 
@@ -34,15 +36,12 @@
 
 namespace corral {
 
-// Everything run_control_loop mutates across epochs. The loop populates
-// this after each epoch (checkpoint_path) and consumes it before its first
-// epoch (resume_path).
+// Everything one TenantLoop (ctrl/tenant.h) mutates across epochs: one
+// per-tenant section of the service checkpoint.
 struct CheckpointState {
-  // control_loop_fingerprint of the run that wrote the checkpoint; resume
-  // refuses a mismatch (different config, chaos regime or fleet).
-  std::uint64_t config_fingerprint = 0;
-
-  int next_epoch = 0;  // first epoch the resumed loop should run
+  // Written into every section but unused on restore: the service owns
+  // the resume point at the top level (ServiceCheckpointState).
+  int next_epoch = 0;
   std::uint64_t prev_topology = 0;
   bool force_replan = false;  // pending drift-triggered invalidation
 
@@ -74,9 +73,6 @@ struct CheckpointState {
   ResponseFunctionCache::Snapshot rf_entries;
   std::uint64_t rf_hits = 0;
   std::uint64_t rf_misses = 0;
-
-  // Trace events recorded so far (empty when tracing is off).
-  obs::TraceSnapshot trace;
 };
 
 // Fingerprint over everything a checkpoint's meaning depends on: the loop
@@ -89,35 +85,17 @@ std::uint64_t control_loop_fingerprint(
     const ControlLoopConfig& config,
     const std::vector<RecurringPipeline>& pipelines);
 
-std::string serialize_checkpoint(const CheckpointState& state);
-// Throws std::invalid_argument on bad magic, truncation, malformed fields
-// or checksum mismatch.
-CheckpointState deserialize_checkpoint(const std::string& text);
-
-// File wrappers; write is atomic-enough for the single-writer loop (write
-// to path + ".tmp", then rename). Throw std::runtime_error on I/O failure.
-void write_checkpoint(const std::string& path, const CheckpointState& state);
-CheckpointState read_checkpoint(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Multi-tenant service checkpoint (format v2).
-//
-// The v2 format carries one per-tenant section per TenantLoop — the same
-// body layout a v1 checkpoint uses for its single fleet — behind a
-// service-level fingerprint (control_service_fingerprint, which mixes
-// every tenant's control_loop_fingerprint with its name and priority) and
-// one shared trace snapshot spanning every tenant's sinks. Shard count and
-// pool width are excluded from the gate: resuming under a different
-// execution width is exactly the supported case. v1 files are unchanged
-// and the two formats reject each other by version magic.
-
+// The whole checkpoint: one per-tenant section per TenantLoop behind a
+// service-level fingerprint (control_service_fingerprint, which mixes every
+// tenant's control_loop_fingerprint with its name and priority) and one
+// shared trace snapshot spanning every tenant's sinks. Shard count and pool
+// width are excluded from the gate: resuming under a different execution
+// width is exactly the supported case.
 struct ServiceCheckpointState {
   // control_service_fingerprint of the run that wrote the checkpoint.
   std::uint64_t config_fingerprint = 0;
   int next_epoch = 0;  // first epoch the resumed service should run
-  // One section per tenant, in tenant-id order. The driver-level fields of
-  // each section (config_fingerprint, next_epoch, trace) are unused; the
-  // service owns those at the top level.
+  // One section per tenant, in tenant-id order.
   std::vector<CheckpointState> tenants;
   // Trace events recorded so far across every tenant's sinks.
   obs::TraceSnapshot trace;
@@ -129,6 +107,9 @@ std::string serialize_service_checkpoint(const ServiceCheckpointState& state);
 ServiceCheckpointState deserialize_service_checkpoint(
     const std::string& text);
 
+// File wrappers; write is atomic-enough for the single-writer service
+// (write to path + ".tmp", then rename). Throw std::runtime_error on I/O
+// failure.
 void write_service_checkpoint(const std::string& path,
                               const ServiceCheckpointState& state);
 ServiceCheckpointState read_service_checkpoint(const std::string& path);

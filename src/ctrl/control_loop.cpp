@@ -4,13 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "corral/fingerprint.h"
-#include "ctrl/checkpoint.h"
 #include "ctrl/tenant.h"
-#include "exec/exec.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "sim/batch.h"
 #include "util/check.h"
 
 namespace corral {
@@ -111,125 +105,6 @@ std::vector<RecurringPipeline> make_recurring_fleet(const W1Config& config,
     fleet.push_back(std::move(pipeline));
   }
   return fleet;
-}
-
-void record_ctrl_metrics(obs::MetricsRegistry* metrics,
-                         const ControlLoopResult& result) {
-  if (metrics == nullptr) return;
-  obs::MetricsRegistry& m = *metrics;
-  m.counter("ctrl.epochs")
-      .add(static_cast<double>(result.epochs.size()));
-  m.counter("ctrl.cache.hits").add(static_cast<double>(result.cache.hits));
-  m.counter("ctrl.cache.misses")
-      .add(static_cast<double>(result.cache.misses));
-  m.counter("ctrl.cache.invalidations")
-      .add(static_cast<double>(result.cache.invalidations));
-  m.counter("ctrl.cache.evictions")
-      .add(static_cast<double>(result.cache.evictions));
-  m.counter("ctrl.cache.corruptions")
-      .add(static_cast<double>(result.cache.corruptions));
-  m.counter("ctrl.drift_trips").add(static_cast<double>(result.drift_trips));
-  m.counter("ctrl.rf.hits").add(static_cast<double>(result.rf_hits));
-  m.counter("ctrl.rf.misses").add(static_cast<double>(result.rf_misses));
-  double replan_evals = 0;
-  for (const EpochReport& report : result.epochs) {
-    replan_evals += static_cast<double>(report.replan_cost_evals);
-  }
-  m.counter("ctrl.replan_evals").add(replan_evals);
-  m.gauge("ctrl.mean_prediction_error").set(result.mean_prediction_error);
-  m.gauge("ctrl.hit_rate_after_2").set(result.hit_rate_after(2));
-  m.counter("ctrl.resilience.chaos_events")
-      .add(static_cast<double>(result.chaos_events));
-  m.counter("ctrl.resilience.quarantined")
-      .add(static_cast<double>(result.quarantined));
-  m.counter("ctrl.resilience.exec_retries")
-      .add(static_cast<double>(result.exec_retries));
-  m.counter("ctrl.resilience.fallbacks")
-      .add(static_cast<double>(result.fallbacks));
-  m.counter("ctrl.resilience.overruns")
-      .add(static_cast<double>(result.overruns));
-  m.counter("ctrl.resilience.stale_views")
-      .add(static_cast<double>(result.stale_views));
-  m.counter("ctrl.resilience.demotions")
-      .add(static_cast<double>(result.demotions));
-  m.counter("ctrl.resilience.promotions")
-      .add(static_cast<double>(result.promotions));
-  m.counter("ctrl.resilience.epochs_aborted")
-      .add(static_cast<double>(result.epochs_aborted));
-  m.counter("ctrl.resilience.epochs_completed")
-      .add(static_cast<double>(result.epochs_completed));
-}
-
-ControlLoopResult run_control_loop(std::vector<RecurringPipeline> pipelines,
-                                   const ControlLoopConfig& config) {
-  config.validate();
-  ctrl_detail::validate_pipelines(pipelines, "run_control_loop");
-  const std::uint64_t config_sig =
-      control_loop_fingerprint(config, pipelines);
-
-  // The whole single-tenant loop is one tenant of the service core: base
-  // seed, sink base 0 and an empty label prefix make its outputs
-  // bit-compatible with the pre-service implementation.
-  TenantLoop tenant(std::move(pipelines), config, config.seed,
-                    config.chaos_seed, /*sink_base=*/0,
-                    /*label_prefix=*/"");
-
-  int start_epoch = 0;
-  if (!config.resume_path.empty()) {
-    CheckpointState saved = read_checkpoint(config.resume_path);
-    require(saved.config_fingerprint == config_sig,
-            "run_control_loop: checkpoint '" + config.resume_path +
-                "' was written by a different config or fleet");
-    require(saved.next_epoch >= 0 && saved.next_epoch <= config.epochs,
-            "run_control_loop: checkpoint next_epoch out of range");
-    start_epoch = saved.next_epoch;
-    tenant.restore_state(saved);
-    if (config.tracer != nullptr) {
-      obs::restore_tracer(*config.tracer, saved.trace);
-    }
-  }
-
-  // Bound *after* a possible restore replays old sinks into the tracer.
-  tenant.bind_trace();
-
-  const BatchRunner runner(config.pool);
-
-  std::vector<int> all_racks(static_cast<std::size_t>(config.cluster.racks));
-  for (int r = 0; r < config.cluster.racks; ++r) {
-    all_racks[static_cast<std::size_t>(r)] = r;
-  }
-
-  for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
-    const std::vector<int> outage_racks =
-        ctrl_detail::outage_racks_for_epoch(config, epoch);
-    std::vector<int> usable_racks;
-    usable_racks.reserve(all_racks.size());
-    for (int r : all_racks) {
-      if (!std::binary_search(outage_racks.begin(), outage_racks.end(), r)) {
-        usable_racks.push_back(r);
-      }
-    }
-    tenant.run_epoch(epoch, usable_racks, !outage_racks.empty(), runner);
-
-    if (!config.checkpoint_path.empty()) {
-      CheckpointState state;
-      state.config_fingerprint = config_sig;
-      state.next_epoch = epoch + 1;
-      tenant.save_state(state);
-      if (config.tracer != nullptr) {
-        state.trace = obs::snapshot_tracer(*config.tracer);
-      }
-      write_checkpoint(config.checkpoint_path, state);
-    }
-    if (tenant.crash_after(epoch)) {
-      tenant.note_crash(epoch);
-      break;
-    }
-  }
-
-  ControlLoopResult result = tenant.finish();
-  record_ctrl_metrics(config.metrics, result);
-  return result;
 }
 
 }  // namespace corral

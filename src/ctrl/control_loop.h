@@ -4,8 +4,9 @@
 // The paper's whole premise (§2, Fig 3) is a *recurring* workflow: predict
 // the next instance of each recurring job from history, plan offline,
 // execute the plan on the cluster, and feed measurements back into the
-// history. This module drives N virtual "days" (epochs) of that loop over
-// the simulator:
+// history. This module holds the loop's config, per-epoch report and result
+// types; the service (ctrl/service.h) drives N virtual "days" (epochs) of
+// the loop over the simulator for one or more tenants (ctrl/tenant.h):
 //
 //   1. predict  — the §2 averaging predictor forecasts tonight's input size
 //                 for every recurring job from its (weekday/weekend-split)
@@ -161,9 +162,9 @@ struct ControlLoopConfig {
   exec::ThreadPool* pool = nullptr;
 
   // Observability (both optional). Sink layout, fixed so merged traces are
-  // deterministic: sink 0 = the control loop (kCtrl track, timestamped by
-  // epoch index), sink 1+2e = epoch e's planner, sink 2+2e = epoch e's
-  // simulation.
+  // deterministic: relative to the tenant's base (0 for a 1-tenant run),
+  // sink 0 = the control loop (kCtrl track, timestamped by epoch index),
+  // sink 1+2e = epoch e's planner, sink 2+2e = epoch e's simulation.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 
@@ -261,19 +262,6 @@ struct ControlLoopResult {
 // timeline covering warmup_days + epochs days. Deterministic in `seed`.
 std::vector<RecurringPipeline> make_recurring_fleet(
     const W1Config& config, int warmup_days, int epochs, std::uint64_t seed);
-
-// Drives the loop. Pipelines are taken by value: the loop owns and mutates
-// their histories (the feedback edge). Internally a thin wrapper over one
-// TenantLoop (ctrl/tenant.h) of the multi-tenant service (ctrl/service.h);
-// outputs are bit-compatible with the pre-service implementation.
-ControlLoopResult run_control_loop(std::vector<RecurringPipeline> pipelines,
-                                   const ControlLoopConfig& config);
-
-// Writes the run's ctrl.* counters and gauges into `metrics` (no-op when
-// null). Shared by run_control_loop and the multi-tenant service, which
-// records the same names over its combined result.
-void record_ctrl_metrics(obs::MetricsRegistry* metrics,
-                         const ControlLoopResult& result);
 
 }  // namespace corral
 

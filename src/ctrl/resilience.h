@@ -5,7 +5,7 @@
 // its own faults: a predictor emitting garbage, a planner blowing its
 // deadline, a plan store losing or corrupting entries. This module holds
 // the knobs (ResilienceConfig) and the error-budget state machine
-// (ErrorBudget) that run_control_loop consults every epoch:
+// (ErrorBudget) that each TenantLoop consults every epoch:
 //
 //  * input validation — forecasts that are non-finite, non-positive or
 //    more than outlier_factor away from the last anchored size are

@@ -64,7 +64,7 @@ const JobInstance& timeline_instance(const RecurringPipeline& pipeline,
   for (const JobInstance& instance : pipeline.timeline) {
     if (instance.day == day && instance.run_of_day == 0) return instance;
   }
-  require(false, "run_control_loop: pipeline '" + pipeline.reference.name +
+  require(false, "run_control_service: pipeline '" + pipeline.reference.name +
                      "' timeline does not cover day " + std::to_string(day));
   return pipeline.timeline.front();  // unreachable
 }

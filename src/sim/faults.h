@@ -6,13 +6,14 @@
 // fault parameters always produce byte-identical results, regardless of how
 // the simulation itself unfolds.
 //
-// Schedules come from three sources:
+// Schedules come from three sources, and SimConfig::faults is the
+// simulator's only fault input:
 //  * generate_fault_schedule() — stochastic churn from MTBF/MTTR parameters
 //    (per-machine crashes and whole-rack ToR outages), the way a production
 //    trace would be synthesized;
-//  * hand-written event lists in tests and drills;
-//  * the legacy SimConfig::machine_failure_events vector, which the
-//    simulator folds into the schedule as permanent crashes.
+//  * hand-written event lists in tests and drills (a kCrash with no later
+//    kRecover is a permanent failure);
+//  * corral-faults text files (read_faults_file, corral_simulate --faults).
 #ifndef CORRAL_SIM_FAULTS_H_
 #define CORRAL_SIM_FAULTS_H_
 

@@ -71,9 +71,6 @@ struct SimConfig {
   // Rate-allocation policy for the fabric (§6.6 plus the coflow suite in
   // src/coflow). Dispatched through coflow::make_allocator.
   NetPolicy net_policy = NetPolicy::kTcp;
-  // Deprecated compatibility shim for net_policy = kVarys; honored only
-  // while net_policy keeps its default.
-  bool use_varys = false;
   // Replicate reduce outputs off-rack (adds write traffic; off by default
   // so the headline benches isolate read/shuffle locality).
   bool write_output_replicas = false;
@@ -104,13 +101,6 @@ struct SimConfig {
   // an empty disk, and dropped Corral constraints are re-armed once every
   // assigned rack is healthy again.
   FaultSchedule faults;
-  // Deprecated compatibility shim: folded into `faults` as permanent
-  // crashes. Prefer FaultSchedule / generate_fault_schedule().
-  struct MachineFailure {
-    Seconds time = 0;
-    int machine = 0;
-  };
-  std::vector<MachineFailure> machine_failure_events;
   // Hadoop-style speculative execution: when a slot would otherwise idle, a
   // task that has run at least speculation_min_runtime and longer than
   // speculation_slowdown x its stage's mean completed-task duration gets

@@ -9,6 +9,7 @@
 
 #include "ctrl/control_loop.h"
 #include "ctrl/report.h"
+#include "ctrl/service.h"
 #include "exec/exec.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -53,15 +54,18 @@ LoopArtifacts run_at_width(int width) {
   obs::Tracer tracer(options);
   obs::MetricsRegistry metrics;
 
-  ControlLoopConfig config = loop_config();
-  config.pool = &pool;
-  config.tracer = &tracer;
-  config.metrics = &metrics;
-  auto fleet = make_recurring_fleet(fleet_config(), config.warmup_days,
-                                    config.epochs, config.seed);
+  ServiceConfig config;
+  config.loop = loop_config();
+  config.loop.pool = &pool;
+  config.loop.tracer = &tracer;
+  config.loop.metrics = &metrics;
+  std::vector<ServiceTenant> fleet =
+      make_service_fleet(fleet_config(), config.loop.warmup_days,
+                         config.loop.epochs, config.loop.seed, /*tenants=*/1);
 
   LoopArtifacts artifacts;
-  artifacts.result = run_control_loop(std::move(fleet), config);
+  artifacts.result = std::move(
+      run_control_service(std::move(fleet), config).tenants[0].loop);
   artifacts.report_json = ctrl_report_json_string(artifacts.result);
   artifacts.trace_json = obs::chrome_trace_string(tracer);
   artifacts.timeline_csv = obs::timeline_csv_string(tracer);

@@ -17,6 +17,7 @@
 #include "ctrl/plan_cache.h"
 #include "ctrl/report.h"
 #include "ctrl/resilience.h"
+#include "ctrl/service.h"
 #include "exec/exec.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -43,10 +44,16 @@ W1Config fleet_config() {
   return config;
 }
 
+// One fleet through the service: a 1-tenant run whose tenant keeps the
+// base seed, so its pipelines are make_recurring_fleet's.
 ControlLoopResult run_loop(const ControlLoopConfig& config) {
-  auto fleet = make_recurring_fleet(fleet_config(), config.warmup_days,
-                                    config.epochs, config.seed);
-  return run_control_loop(std::move(fleet), config);
+  ServiceConfig service;
+  service.loop = config;
+  std::vector<ServiceTenant> fleet =
+      make_service_fleet(fleet_config(), config.warmup_days, config.epochs,
+                         config.seed, /*tenants=*/1);
+  return std::move(
+      run_control_service(std::move(fleet), service).tenants[0].loop);
 }
 
 // --- chaos spec parsing --------------------------------------------------
@@ -492,7 +499,7 @@ TEST(CtrlResilience, GuardrailMetricsAreExported) {
 
 // --- checkpoint format ---------------------------------------------------
 
-CheckpointState sample_state(const std::string& tag) {
+ServiceCheckpointState sample_state(const std::string& tag) {
   ControlLoopConfig config = loop_config(5);
   // Unique file per caller: gtest_discover_tests runs each TEST as its own
   // ctest process, so concurrent tests must not share a checkpoint path.
@@ -501,31 +508,36 @@ CheckpointState sample_state(const std::string& tag) {
   config.chaos = parse_chaos_spec("spike=0.4");
   config.resilience.enabled = true;
   (void)run_loop(config);
-  return read_checkpoint(config.checkpoint_path);
+  return read_service_checkpoint(config.checkpoint_path);
 }
 
 TEST(CtrlCheckpoint, SerializeDeserializeRoundTripsExactly) {
-  const CheckpointState state = sample_state("roundtrip");
-  const std::string text = serialize_checkpoint(state);
-  const CheckpointState reread = deserialize_checkpoint(text);
+  const ServiceCheckpointState state = sample_state("roundtrip");
+  const std::string text = serialize_service_checkpoint(state);
+  const ServiceCheckpointState reread = deserialize_service_checkpoint(text);
   // Exact fixed point: one more serialize of the deserialized state is
   // byte-identical (doubles are stored as IEEE-754 bit images).
-  EXPECT_EQ(serialize_checkpoint(reread), text);
+  EXPECT_EQ(serialize_service_checkpoint(reread), text);
   EXPECT_EQ(reread.config_fingerprint, state.config_fingerprint);
   EXPECT_EQ(reread.next_epoch, state.next_epoch);
-  EXPECT_EQ(reread.reports.size(), state.reports.size());
-  EXPECT_EQ(reread.histories.size(), state.histories.size());
-  EXPECT_EQ(reread.plan_cache.entries.size(),
-            state.plan_cache.entries.size());
+  ASSERT_EQ(state.tenants.size(), 1u);
+  ASSERT_EQ(reread.tenants.size(), 1u);
+  EXPECT_EQ(reread.tenants[0].reports.size(), state.tenants[0].reports.size());
+  EXPECT_EQ(reread.tenants[0].histories.size(),
+            state.tenants[0].histories.size());
+  EXPECT_EQ(reread.tenants[0].plan_cache.entries.size(),
+            state.tenants[0].plan_cache.entries.size());
 }
 
 TEST(CtrlCheckpoint, RejectsCorruptionTruncationAndBadMagic) {
-  const std::string text = serialize_checkpoint(sample_state("reject"));
-  EXPECT_NO_THROW(deserialize_checkpoint(text));
+  const std::string text =
+      serialize_service_checkpoint(sample_state("reject"));
+  EXPECT_NO_THROW(deserialize_service_checkpoint(text));
 
   std::string bad_magic = text;
   bad_magic[0] = 'X';
-  EXPECT_THROW(deserialize_checkpoint(bad_magic), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(bad_magic),
+               std::invalid_argument);
 
   // Flip one digit inside the body (the "state <epoch> ..." line): the
   // FNV trailer must catch it.
@@ -533,12 +545,14 @@ TEST(CtrlCheckpoint, RejectsCorruptionTruncationAndBadMagic) {
   const std::size_t pos = text.find("\nstate ");
   ASSERT_NE(pos, std::string::npos);
   flipped[pos + 7] = flipped[pos + 7] == '0' ? '1' : '0';
-  EXPECT_THROW(deserialize_checkpoint(flipped), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(flipped),
+               std::invalid_argument);
 
   const std::string truncated = text.substr(0, text.size() / 2);
-  EXPECT_THROW(deserialize_checkpoint(truncated), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(truncated),
+               std::invalid_argument);
 
-  EXPECT_THROW(deserialize_checkpoint(""), std::invalid_argument);
+  EXPECT_THROW(deserialize_service_checkpoint(""), std::invalid_argument);
 }
 
 TEST(CtrlCheckpoint, ResumeRefusesMismatchedConfig) {
@@ -581,10 +595,7 @@ LoopArtifacts run_with_artifacts(ControlLoopConfig config, int width) {
   config.metrics = &metrics;
 
   LoopArtifacts artifacts;
-  artifacts.result = run_control_loop(
-      make_recurring_fleet(fleet_config(), config.warmup_days, config.epochs,
-                           config.seed),
-      config);
+  artifacts.result = run_loop(config);
   artifacts.report_json = ctrl_report_json_string(artifacts.result);
   artifacts.trace_json = obs::chrome_trace_string(tracer);
   std::ostringstream metrics_out;

@@ -13,6 +13,7 @@
 #include "ctrl/control_loop.h"
 #include "exec/exec.h"
 #include "ctrl/plan_cache.h"
+#include "ctrl/service.h"
 #include "obs/metrics.h"
 #include "workload/recurring.h"
 
@@ -48,6 +49,21 @@ ControlLoopConfig loop_config(int epochs) {
   config.epochs = epochs;
   config.warmup_days = 14;
   return config;
+}
+
+// The small fleet as a 1-tenant service fleet (tenant 0 keeps the base
+// seed, so its pipelines are make_recurring_fleet's).
+std::vector<ServiceTenant> one_fleet(const ControlLoopConfig& config) {
+  return make_service_fleet(small_fleet_config(), config.warmup_days,
+                            config.epochs, config.seed, /*tenants=*/1);
+}
+
+ControlLoopResult run_loop(std::vector<ServiceTenant> fleet,
+                           const ControlLoopConfig& config) {
+  ServiceConfig service;
+  service.loop = config;
+  return std::move(
+      run_control_service(std::move(fleet), service).tenants[0].loop);
 }
 
 // --- PlanCache -----------------------------------------------------------
@@ -255,10 +271,7 @@ TEST(CtrlConfig, AcceptsDefaults) {
 
 TEST(CtrlLoop, StableTopologyReusesPlans) {
   const ControlLoopConfig config = loop_config(10);
-  auto fleet = make_recurring_fleet(small_fleet_config(), config.warmup_days,
-                                    config.epochs, config.seed);
-  const ControlLoopResult result =
-      run_control_loop(std::move(fleet), config);
+  const ControlLoopResult result = run_loop(one_fleet(config), config);
 
   ASSERT_EQ(result.epochs.size(), 10u);
   // Acceptance gate: >= 50% hit rate after epoch 2 on a stable topology.
@@ -284,10 +297,7 @@ TEST(CtrlLoop, StableTopologyReusesPlans) {
 TEST(CtrlLoop, RackOutageInvalidatesAndReplans) {
   ControlLoopConfig config = loop_config(6);
   config.outages = {{3, 1}};
-  auto fleet = make_recurring_fleet(small_fleet_config(), config.warmup_days,
-                                    config.epochs, config.seed);
-  const ControlLoopResult result =
-      run_control_loop(std::move(fleet), config);
+  const ControlLoopResult result = run_loop(one_fleet(config), config);
 
   const EpochReport& outage = result.epochs[3];
   EXPECT_TRUE(outage.outage);
@@ -323,17 +333,15 @@ TEST(CtrlLoop, DriftDetectorForcesReplan) {
   // even though the topology and planner config are unchanged.
   ControlLoopConfig config = loop_config(3);
   config.drift_threshold = 0.10;
-  auto fleet = make_recurring_fleet(small_fleet_config(), config.warmup_days,
-                                    config.epochs, config.seed);
+  std::vector<ServiceTenant> fleet = one_fleet(config);
   // Double every post-warmup realized size: predictions (anchored on the
   // warmup history) are ~50% off, far beyond the 10% threshold.
-  for (RecurringPipeline& pipeline : fleet) {
+  for (RecurringPipeline& pipeline : fleet[0].pipelines) {
     for (JobInstance& instance : pipeline.timeline) {
       if (instance.day >= config.warmup_days) instance.input_bytes *= 2.0;
     }
   }
-  const ControlLoopResult result =
-      run_control_loop(std::move(fleet), config);
+  const ControlLoopResult result = run_loop(std::move(fleet), config);
   EXPECT_GT(result.drift_trips, 0);
   // While the history still mixes pre- and post-jump sizes the error stays
   // far above the threshold, so every epoch replans — either because the
@@ -348,10 +356,7 @@ TEST(CtrlLoop, MetricsRegistryGetsCtrlSeries) {
   obs::MetricsRegistry metrics;
   ControlLoopConfig config = loop_config(4);
   config.metrics = &metrics;
-  auto fleet = make_recurring_fleet(small_fleet_config(), config.warmup_days,
-                                    config.epochs, config.seed);
-  const ControlLoopResult result =
-      run_control_loop(std::move(fleet), config);
+  const ControlLoopResult result = run_loop(one_fleet(config), config);
   EXPECT_EQ(metrics.counter("ctrl.epochs").value(), 4.0);
   EXPECT_EQ(metrics.counter("ctrl.cache.hits").value(),
             static_cast<double>(result.cache.hits));

@@ -1,7 +1,7 @@
-// Differential test: CalendarEventQueue vs BinaryHeapEventQueue.
+// Differential test: CalendarEventQueue vs a reference binary heap.
 //
 // The simulator's determinism contract requires the calendar queue to pop
-// the exact (time, seq) order the legacy binary heap produced. This test
+// the exact (time, seq) order the original binary heap produced. This test
 // drives both queues through identical randomized schedules — tied
 // timestamps, interleaved pushes and pops, times far beyond the calendar
 // window (overflow), pushes behind the scan cursor (retreat), and
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <queue>
 #include <random>
 #include <utility>
 #include <vector>
@@ -24,6 +25,16 @@ struct Ev {
   double time = 0;
   long seq = 0;
 };
+
+// The simulator's original event queue: a plain binary heap on (time, seq),
+// the reference the calendar queue must match pop for pop.
+struct Later {
+  bool operator()(const Ev& a, const Ev& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+using BinaryHeapEventQueue = std::priority_queue<Ev, std::vector<Ev>, Later>;
 
 // Applies the same op script (push event / pop one) to a queue and records
 // everything popped. Each pop also cross-checks top() against the recorded
@@ -57,7 +68,7 @@ std::vector<std::pair<double, long>> run_script(
 void expect_identical(const std::vector<std::pair<bool, Ev>>& ops,
                       double bucket_width) {
   CalendarEventQueue<Ev> calendar(bucket_width);
-  BinaryHeapEventQueue<Ev> heap;
+  BinaryHeapEventQueue heap;
   const auto from_calendar = run_script(calendar, ops);
   const auto from_heap = run_script(heap, ops);
   ASSERT_EQ(from_calendar.size(), from_heap.size());

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "ctrl/control_loop.h"
 #include "ctrl/report.h"
 #include "ctrl/service.h"
 #include "net/allocator.h"
@@ -106,6 +105,98 @@ void apply_tenant_net_policy(const std::string& text,
   policies[static_cast<std::size_t>(tenant)] = policy;
 }
 
+// Multi-tenant summary: the arbitration log, one row per tenant and the
+// combined totals.
+void print_service_tables(const ServiceResult& result, int shards,
+                          int epochs) {
+  std::printf("tenants: %zu  shards: %d  epochs: %d\n",
+              result.tenants.size(), shards, epochs);
+  std::printf("epoch usable  grants (racks per tenant, * = changed)\n");
+  for (const ServiceEpochArbitration& e : result.arbitration) {
+    std::printf("%5d %6d ", e.epoch, e.usable_racks);
+    for (std::size_t t = 0; t < e.granted_racks.size(); ++t) {
+      std::printf(" %s:%d%s", result.tenants[t].name.c_str(),
+                  e.granted_racks[t], e.grant_changed[t] ? "*" : "");
+    }
+    std::printf("\n");
+  }
+  std::printf(
+      "tenant  prio  grant.chg  cache h/m  hit.rate  pred.err  "
+      "done/abort\n");
+  for (const TenantResult& tenant : result.tenants) {
+    const ControlLoopResult& loop = tenant.loop;
+    std::printf("%-7s %5d %10d %5llu/%-4llu %9.2f %8.2f%% %6d/%-4d\n",
+                tenant.name.c_str(), tenant.priority, tenant.grant_changes,
+                static_cast<unsigned long long>(loop.cache.hits),
+                static_cast<unsigned long long>(loop.cache.misses),
+                loop.hit_rate_after(2), 100.0 * loop.mean_prediction_error,
+                loop.epochs_completed, loop.epochs_aborted);
+  }
+  const ControlLoopResult& combined = result.combined;
+  std::printf("combined: %llu/%llu cache h/m, %llu invalidations, "
+              "%.2f%% pred.err, %d/%d done/abort\n",
+              static_cast<unsigned long long>(combined.cache.hits),
+              static_cast<unsigned long long>(combined.cache.misses),
+              static_cast<unsigned long long>(combined.cache.invalidations),
+              100.0 * combined.mean_prediction_error,
+              combined.epochs_completed, combined.epochs_aborted);
+}
+
+// Single-fleet summary: one row per epoch plus the run totals.
+void print_epoch_table(const ControlLoopResult& result,
+                       const ControlLoopConfig& config) {
+  std::printf(
+      "epoch day wk  mode     cache  outage drift racks evals  pred.err  "
+      "planned.ms  realized.ms  failed chaos quar retry flags\n");
+  for (const EpochReport& e : result.epochs) {
+    std::string notes;
+    if (e.planner_overrun) notes += "overrun ";
+    if (e.fallback_plan) notes += "fallback ";
+    if (e.stale_topology) notes += "stale ";
+    if (e.aborted) notes += "ABORT ";
+    if (e.demoted) notes += "demote ";
+    if (e.promoted) notes += "promote ";
+    std::printf(
+        "%5d %4d %-3s %-8s %-6s %-6s %-5s %5d %5zu %8.2f%% %10.1fs "
+        "%11.1fs %7d %5d %4d %5d %s\n",
+        e.epoch, e.day, e.weekend ? "we" : "wd",
+        std::string(to_string(e.mode)).c_str(),
+        e.cache_hit ? "hit" : "MISS", e.outage ? "down" : "-",
+        e.drift_replan ? "yes" : "-", e.planning_racks, e.replan_cost_evals,
+        100.0 * e.mean_prediction_error, e.predicted_makespan,
+        e.realized_makespan, e.jobs_failed, e.chaos_injected, e.quarantined,
+        e.exec_retries, notes.empty() ? "-" : notes.c_str());
+  }
+  std::printf("cache: %llu hits / %llu misses, %llu invalidations, "
+              "%llu evictions (capacity %zu)\n",
+              static_cast<unsigned long long>(result.cache.hits),
+              static_cast<unsigned long long>(result.cache.misses),
+              static_cast<unsigned long long>(result.cache.invalidations),
+              static_cast<unsigned long long>(result.cache.evictions),
+              config.cache_capacity);
+  std::printf("hit rate after epoch 2:   %.2f\n", result.hit_rate_after(2));
+  std::printf("response-function memo:   %llu hits / %llu misses\n",
+              static_cast<unsigned long long>(result.rf_hits),
+              static_cast<unsigned long long>(result.rf_misses));
+  std::printf("drift trips:              %d\n", result.drift_trips);
+  std::printf("mean prediction error:    %.2f%%\n",
+              100.0 * result.mean_prediction_error);
+  std::printf("epochs completed/aborted: %d / %d\n", result.epochs_completed,
+              result.epochs_aborted);
+  if (result.chaos_events > 0 || config.resilience.enabled) {
+    std::printf("chaos events injected:    %d\n", result.chaos_events);
+    std::printf("forecasts quarantined:    %d\n", result.quarantined);
+    std::printf("exec retries:             %d\n", result.exec_retries);
+    std::printf("fallback plans served:    %d\n", result.fallbacks);
+    std::printf("planner overruns:         %d\n", result.overruns);
+    std::printf("stale topology views:     %d\n", result.stale_views);
+    std::printf("mode demotions/promotions: %d / %d\n", result.demotions,
+                result.promotions);
+    std::printf("cache corruptions caught: %llu\n",
+                static_cast<unsigned long long>(result.cache.corruptions));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -128,8 +219,8 @@ int main(int argc, char** argv) {
   tools::add_outage_flags(flags);
   flags.add_int("tenants", 1,
                 "independent fleets sharing the cluster through the "
-                "cross-tenant rack arbiter (1 = classic single-tenant "
-                "loop)");
+                "cross-tenant rack arbiter (1 = one fleet, reported per "
+                "epoch)");
   flags.add_int("shards", 1,
                 "shard lanes the admission queue deals tenants across; "
                 "results are byte-identical at any value");
@@ -259,127 +350,23 @@ int main(int argc, char** argv) {
         tenants > 1 || flags.get_string_list("tenant-net-policy").empty(),
         "--tenant-net-policy requires --tenants > 1 (use --net-policy)");
 
+    ServiceConfig service;
+    service.loop = config;
+    service.shards = shards;
+    std::vector<ServiceTenant> fleet =
+        make_service_fleet(workload, config.warmup_days, config.epochs,
+                           config.seed, tenants, priorities);
+    for (std::size_t t = 0; t < fleet.size(); ++t) {
+      fleet[t].backend = tenant_backends[t];
+      fleet[t].net_policy = tenant_net_policies[t];
+    }
+    const ServiceResult result =
+        run_control_service(std::move(fleet), service);
+
     if (tenants > 1) {
-      ServiceConfig service;
-      service.loop = config;
-      service.shards = shards;
-      std::vector<ServiceTenant> fleet = make_service_fleet(
-          workload, config.warmup_days, config.epochs, config.seed, tenants,
-          priorities);
-      for (std::size_t t = 0; t < fleet.size(); ++t) {
-        fleet[t].backend = tenant_backends[t];
-        fleet[t].net_policy = tenant_net_policies[t];
-      }
-      const ServiceResult result =
-          run_control_service(std::move(fleet), service);
-
-      std::printf("tenants: %d  shards: %d  epochs: %d\n", tenants, shards,
-                  config.epochs);
-      std::printf("epoch usable  grants (racks per tenant, * = changed)\n");
-      for (const ServiceEpochArbitration& e : result.arbitration) {
-        std::printf("%5d %6d ", e.epoch, e.usable_racks);
-        for (std::size_t t = 0; t < e.granted_racks.size(); ++t) {
-          std::printf(" %s:%d%s", result.tenants[t].name.c_str(),
-                      e.granted_racks[t], e.grant_changed[t] ? "*" : "");
-        }
-        std::printf("\n");
-      }
-      std::printf(
-          "tenant  prio  grant.chg  cache h/m  hit.rate  pred.err  "
-          "done/abort\n");
-      for (const TenantResult& tenant : result.tenants) {
-        const ControlLoopResult& loop = tenant.loop;
-        std::printf("%-7s %5d %10d %5llu/%-4llu %9.2f %8.2f%% %6d/%-4d\n",
-                    tenant.name.c_str(), tenant.priority,
-                    tenant.grant_changes,
-                    static_cast<unsigned long long>(loop.cache.hits),
-                    static_cast<unsigned long long>(loop.cache.misses),
-                    loop.hit_rate_after(2),
-                    100.0 * loop.mean_prediction_error,
-                    loop.epochs_completed, loop.epochs_aborted);
-      }
-      const ControlLoopResult& combined = result.combined;
-      std::printf("combined: %llu/%llu cache h/m, %llu invalidations, "
-                  "%.2f%% pred.err, %d/%d done/abort\n",
-                  static_cast<unsigned long long>(combined.cache.hits),
-                  static_cast<unsigned long long>(combined.cache.misses),
-                  static_cast<unsigned long long>(
-                      combined.cache.invalidations),
-                  100.0 * combined.mean_prediction_error,
-                  combined.epochs_completed, combined.epochs_aborted);
-      if (result.crashed_after >= 0) {
-        std::printf("CRASHED after epoch %d", result.crashed_after);
-        if (!config.checkpoint_path.empty()) {
-          std::printf(" -- resume with --resume=%s",
-                      config.checkpoint_path.c_str());
-        }
-        std::printf("\n");
-      }
-      if (!flags.get_string("report-out").empty()) {
-        write_service_report_json_file(flags.get_string("report-out"),
-                                       result);
-        std::printf("service report written to %s\n",
-                    flags.get_string("report-out").c_str());
-      }
-      outputs.write_outputs(std::cout);
-      return 0;
-    }
-
-    std::vector<RecurringPipeline> fleet = make_recurring_fleet(
-        workload, config.warmup_days, config.epochs, config.seed);
-    const ControlLoopResult result =
-        run_control_loop(std::move(fleet), config);
-
-    std::printf(
-        "epoch day wk  mode     cache  outage drift racks evals  pred.err  "
-        "planned.ms  realized.ms  failed chaos quar retry flags\n");
-    for (const EpochReport& e : result.epochs) {
-      std::string notes;
-      if (e.planner_overrun) notes += "overrun ";
-      if (e.fallback_plan) notes += "fallback ";
-      if (e.stale_topology) notes += "stale ";
-      if (e.aborted) notes += "ABORT ";
-      if (e.demoted) notes += "demote ";
-      if (e.promoted) notes += "promote ";
-      if (notes.empty()) notes = "-";
-      std::printf(
-          "%5d %4d %-3s %-8s %-6s %-6s %-5s %5d %5zu %8.2f%% %10.1fs "
-          "%11.1fs %7d %5d %4d %5d %s\n",
-          e.epoch, e.day, e.weekend ? "we" : "wd",
-          std::string(to_string(e.mode)).c_str(),
-          e.cache_hit ? "hit" : "MISS", e.outage ? "down" : "-",
-          e.drift_replan ? "yes" : "-", e.planning_racks,
-          e.replan_cost_evals, 100.0 * e.mean_prediction_error,
-          e.predicted_makespan, e.realized_makespan, e.jobs_failed,
-          e.chaos_injected, e.quarantined, e.exec_retries, notes.c_str());
-    }
-    std::printf("cache: %llu hits / %llu misses, %llu invalidations, "
-                "%llu evictions (capacity %zu)\n",
-                static_cast<unsigned long long>(result.cache.hits),
-                static_cast<unsigned long long>(result.cache.misses),
-                static_cast<unsigned long long>(result.cache.invalidations),
-                static_cast<unsigned long long>(result.cache.evictions),
-                config.cache_capacity);
-    std::printf("hit rate after epoch 2:   %.2f\n", result.hit_rate_after(2));
-    std::printf("response-function memo:   %llu hits / %llu misses\n",
-                static_cast<unsigned long long>(result.rf_hits),
-                static_cast<unsigned long long>(result.rf_misses));
-    std::printf("drift trips:              %d\n", result.drift_trips);
-    std::printf("mean prediction error:    %.2f%%\n",
-                100.0 * result.mean_prediction_error);
-    std::printf("epochs completed/aborted: %d / %d\n",
-                result.epochs_completed, result.epochs_aborted);
-    if (result.chaos_events > 0 || config.resilience.enabled) {
-      std::printf("chaos events injected:    %d\n", result.chaos_events);
-      std::printf("forecasts quarantined:    %d\n", result.quarantined);
-      std::printf("exec retries:             %d\n", result.exec_retries);
-      std::printf("fallback plans served:    %d\n", result.fallbacks);
-      std::printf("planner overruns:         %d\n", result.overruns);
-      std::printf("stale topology views:     %d\n", result.stale_views);
-      std::printf("mode demotions/promotions: %d / %d\n", result.demotions,
-                  result.promotions);
-      std::printf("cache corruptions caught: %llu\n",
-                  static_cast<unsigned long long>(result.cache.corruptions));
+      print_service_tables(result, shards, config.epochs);
+    } else {
+      print_epoch_table(result.tenants[0].loop, config);
     }
     if (result.crashed_after >= 0) {
       std::printf("CRASHED after epoch %d", result.crashed_after);
@@ -389,11 +376,15 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
     }
-
-    if (!flags.get_string("report-out").empty()) {
-      write_ctrl_report_json_file(flags.get_string("report-out"), result);
-      std::printf("control report written to %s\n",
-                  flags.get_string("report-out").c_str());
+    const std::string report_path = flags.get_string("report-out");
+    if (!report_path.empty()) {
+      if (tenants > 1) {
+        write_service_report_json_file(report_path, result);
+        std::printf("service report written to %s\n", report_path.c_str());
+      } else {
+        write_ctrl_report_json_file(report_path, result.tenants[0].loop);
+        std::printf("control report written to %s\n", report_path.c_str());
+      }
     }
     outputs.write_outputs(std::cout);
   } catch (const std::exception& error) {
