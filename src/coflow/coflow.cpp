@@ -252,8 +252,8 @@ class OrderedCoflowAllocator : public RateAllocator {
  public:
   void allocate(std::vector<Flow>& flows, const LinkSet& links) override {
     if (flows.empty()) return;
+    net_detail::reset_rates(flows);
     FillScratch& scratch = net_detail::thread_scratch();
-    scratch.load_flows(flows);
     net_detail::build_coflow_groups(scratch, flows, links);
 
     // Live real coflow keys, ascending (groups are already key-sorted).
@@ -304,10 +304,9 @@ class OrderedCoflowAllocator : public RateAllocator {
                      static_cast<double>(live_keys_.size()));
     }
 
-    net_detail::madd_in_group_order(scratch, links);
-    net_detail::progressive_fill(scratch,
+    net_detail::madd_in_group_order(scratch, flows, links);
+    net_detail::progressive_fill(scratch, flows,
                                  static_cast<std::size_t>(links.count()));
-    scratch.store_rates(flows);
   }
 
  protected:

@@ -56,12 +56,12 @@ void FlowPath::add(int link) {
 void MaxMinFairAllocator::allocate(std::vector<Flow>& flows,
                                    const LinkSet& links) {
   if (flows.empty()) return;
+  net_detail::reset_rates(flows);
   FillScratch& scratch = thread_scratch();
-  scratch.load_flows(flows);
   const std::vector<double>& capacities = links.capacities();
   scratch.residual.assign(capacities.begin(), capacities.end());
-  const int rounds = net_detail::progressive_fill(scratch, capacities.size());
-  scratch.store_rates(flows);
+  const int rounds =
+      net_detail::progressive_fill(scratch, flows, capacities.size());
   if (trace_.at(obs::TraceLevel::kFlows)) {
     trace_.counter(obs::TraceTrack::kNet, "maxmin.fill_rounds", 0, trace_now(),
                    rounds);
@@ -74,8 +74,8 @@ void VarysAllocator::allocate(std::vector<Flow>& flows,
                               const LinkSet& links) {
   if (flows.empty()) return;
   const auto L = static_cast<std::size_t>(links.count());
+  net_detail::reset_rates(flows);
   FillScratch& scratch = thread_scratch();
-  scratch.load_flows(flows);
   net_detail::build_coflow_groups(scratch, flows, links);
 
   // Smallest effective bottleneck first; ties broken by coflow key so the
@@ -119,9 +119,8 @@ void VarysAllocator::allocate(std::vector<Flow>& flows,
 
   // MADD in SEBF order, then work conservation: distribute leftover capacity
   // max-min across all flows on top of the MADD rates.
-  net_detail::madd_in_group_order(scratch, links);
-  net_detail::progressive_fill(scratch, L);
-  scratch.store_rates(flows);
+  net_detail::madd_in_group_order(scratch, flows, links);
+  net_detail::progressive_fill(scratch, flows, L);
 }
 
 }  // namespace corral

@@ -75,8 +75,9 @@ class RateAllocator {
   virtual std::string_view name() const = 0;
 
   // Attaches tracing (level >= flows records allocator internals: fill
-  // rounds, SEBF orderings). `clock` points at the owner's virtual-time
-  // accumulator (Network::elapsed()), read at each allocate() call.
+  // rounds, SEBF orderings). `clock` points at the owning simulator's
+  // virtual-time counter (forwarded by Network::set_trace), read at each
+  // allocate() call; null stamps allocator events at t=0.
   void set_trace(const obs::TraceRecorder& trace, const double* clock) {
     trace_ = trace;
     clock_ = clock;

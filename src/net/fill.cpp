@@ -6,33 +6,16 @@
 
 namespace corral::net_detail {
 
-void FillScratch::load_flows(const std::vector<Flow>& flows) {
-  const std::size_t n = flows.size();
-  width.resize(n);
-  remaining.resize(n);
-  rate.resize(n);
-  path_count.resize(n);
-  path_links.resize(n * kMaxPathLinks);
-  for (std::size_t f = 0; f < n; ++f) {
-    const Flow& flow = flows[f];
+void reset_rates(std::vector<Flow>& flows) {
+  for (const Flow& flow : flows) {
     ensure(flow.path.count > 0, "allocator: flow with empty path");
-    width[f] = flow.width;
-    remaining[f] = flow.remaining;
-    rate[f] = 0.0;
-    path_count[f] = flow.path.count;
-    for (int i = 0; i < flow.path.count; ++i) {
-      path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)] =
-          flow.path.links[i];
-    }
   }
+  for (Flow& flow : flows) flow.rate = 0.0;
 }
 
-void FillScratch::store_rates(std::vector<Flow>& flows) const {
-  for (std::size_t f = 0; f < flows.size(); ++f) flows[f].rate = rate[f];
-}
-
-int progressive_fill(FillScratch& scratch, std::size_t num_links) {
-  const std::size_t num_flows = scratch.width.size();
+int progressive_fill(FillScratch& scratch, std::vector<Flow>& flows,
+                     std::size_t num_links) {
+  const std::size_t num_flows = flows.size();
   ensure(scratch.residual.size() == num_links,
          "progressive_fill: residual/link count mismatch");
   scratch.width_on_link.assign(num_links, 0.0);
@@ -45,15 +28,14 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
 
   // Pass 1: per-link widths and flow counts (first touch registers the
   // link; counts accumulate in link_end until the prefix sum below).
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    for (int i = 0; i < scratch.path_count[f]; ++i) {
-      const auto link = static_cast<std::size_t>(
-          scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)]);
+  for (const Flow& flow : flows) {
+    for (int i = 0; i < flow.path.count; ++i) {
+      const auto link = static_cast<std::size_t>(flow.path.links[i]);
       if (scratch.width_on_link[link] == 0.0) {
         scratch.active_links.push_back(static_cast<int>(link));
         scratch.link_end[link] = 0;
       }
-      scratch.width_on_link[link] += scratch.width[f];
+      scratch.width_on_link[link] += flow.width;
       ++scratch.link_end[link];
     }
   }
@@ -68,9 +50,9 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
   }
   scratch.link_flows.resize(static_cast<std::size_t>(total));
   for (std::size_t f = 0; f < num_flows; ++f) {
-    for (int i = 0; i < scratch.path_count[f]; ++i) {
-      const auto link = static_cast<std::size_t>(
-          scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)]);
+    const FlowPath& path = flows[f].path;
+    for (int i = 0; i < path.count; ++i) {
+      const auto link = static_cast<std::size_t>(path.links[i]);
       scratch.link_flows[static_cast<std::size_t>(scratch.link_end[link]++)] =
           static_cast<int>(f);
     }
@@ -108,15 +90,14 @@ int progressive_fill(FillScratch& scratch, std::size_t num_links) {
       scratch.frozen[f] = 1;
       --remaining_flows;
       ++frozen_now;
-      const double flow_rate = best_share * scratch.width[f];
-      scratch.rate[f] += flow_rate;
-      for (int i = 0; i < scratch.path_count[f]; ++i) {
-        const auto link = static_cast<std::size_t>(
-            scratch
-                .path_links[f * kMaxPathLinks + static_cast<std::size_t>(i)]);
+      Flow& flow = flows[f];
+      const double flow_rate = best_share * flow.width;
+      flow.rate += flow_rate;
+      for (int i = 0; i < flow.path.count; ++i) {
+        const auto link = static_cast<std::size_t>(flow.path.links[i]);
         scratch.residual[link] =
             std::max(scratch.residual[link] - flow_rate, 0.0);
-        scratch.width_on_link[link] -= scratch.width[f];
+        scratch.width_on_link[link] -= flow.width;
       }
     }
     if (frozen_now == 0) {
@@ -158,16 +139,16 @@ void build_coflow_groups(FillScratch& scratch, const std::vector<Flow>& flows,
     for (; j < scratch.group_flows.size() &&
            scratch.group_flows[j].first == key;
          ++j) {
-      const auto f = static_cast<std::size_t>(scratch.group_flows[j].second);
-      for (int p = 0; p < scratch.path_count[f]; ++p) {
-        const int l =
-            scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(p)];
+      const Flow& flow =
+          flows[static_cast<std::size_t>(scratch.group_flows[j].second)];
+      for (int p = 0; p < flow.path.count; ++p) {
+        const int l = flow.path.links[static_cast<std::size_t>(p)];
         const auto sl = static_cast<std::size_t>(l);
         if (!scratch.touched_mark[sl]) {
           scratch.touched_mark[sl] = 1;
           scratch.touched.push_back(l);
         }
-        scratch.load[sl] += scratch.remaining[f];
+        scratch.load[sl] += flow.remaining;
         gamma = std::max(gamma, scratch.load[sl] / links.capacity(l));
       }
     }
@@ -182,7 +163,8 @@ void build_coflow_groups(FillScratch& scratch, const std::vector<Flow>& flows,
   }
 }
 
-void madd_in_group_order(FillScratch& scratch, const LinkSet& links) {
+void madd_in_group_order(FillScratch& scratch, std::vector<Flow>& flows,
+                         const LinkSet& links) {
   const std::vector<double>& capacities = links.capacities();
   scratch.residual.assign(capacities.begin(), capacities.end());
   for (const GroupRef& group : scratch.groups) {
@@ -192,16 +174,16 @@ void madd_in_group_order(FillScratch& scratch, const LinkSet& links) {
     const auto begin = static_cast<std::size_t>(group.begin);
     const auto end = begin + static_cast<std::size_t>(group.count);
     for (std::size_t j = begin; j < end; ++j) {
-      const auto f = static_cast<std::size_t>(scratch.group_flows[j].second);
-      for (int p = 0; p < scratch.path_count[f]; ++p) {
-        const int l =
-            scratch.path_links[f * kMaxPathLinks + static_cast<std::size_t>(p)];
+      const Flow& flow =
+          flows[static_cast<std::size_t>(scratch.group_flows[j].second)];
+      for (int p = 0; p < flow.path.count; ++p) {
+        const int l = flow.path.links[static_cast<std::size_t>(p)];
         const auto sl = static_cast<std::size_t>(l);
         if (!scratch.touched_mark[sl]) {
           scratch.touched_mark[sl] = 1;
           scratch.touched.push_back(l);
         }
-        scratch.load[sl] += scratch.remaining[f];
+        scratch.load[sl] += flow.remaining;
         if (scratch.residual[sl] <= kTinyBytes) {
           starved = true;
         } else {
@@ -220,16 +202,16 @@ void madd_in_group_order(FillScratch& scratch, const LinkSet& links) {
     // still serves its flows. The gamma guard also keeps the division safe.
     if (starved || gamma <= 0) continue;
     for (std::size_t j = begin; j < end; ++j) {
-      const auto f = static_cast<std::size_t>(scratch.group_flows[j].second);
+      Flow& flow =
+          flows[static_cast<std::size_t>(scratch.group_flows[j].second)];
       // Zero-remaining flows keep rate 0 (identical to 0/gamma, without
       // relying on the division) and consume no residual capacity.
-      if (scratch.remaining[f] <= 0) continue;
-      const double flow_rate = scratch.remaining[f] / gamma;
-      scratch.rate[f] = flow_rate;
-      for (int p = 0; p < scratch.path_count[f]; ++p) {
+      if (flow.remaining <= 0) continue;
+      const double flow_rate = flow.remaining / gamma;
+      flow.rate = flow_rate;
+      for (int p = 0; p < flow.path.count; ++p) {
         const auto sl = static_cast<std::size_t>(
-            scratch
-                .path_links[f * kMaxPathLinks + static_cast<std::size_t>(p)]);
+            flow.path.links[static_cast<std::size_t>(p)]);
         scratch.residual[sl] = std::max(scratch.residual[sl] - flow_rate, 0.0);
       }
     }

@@ -1,11 +1,12 @@
 // Shared rate-fill machinery behind the RateAllocator policies.
 //
-// PR 7 rewrote progressive filling and the Varys Γ/MADD loops into
-// structure-of-arrays form inside net/allocator.cpp. The coflow-scheduler
-// suite (src/coflow) reuses exactly the same machinery — same scratch, same
-// fill loop, same MADD semantics — so the pieces live here as an internal
-// shared header. Everything in net_detail is an implementation detail of
-// the allocators: tools and the simulator program against RateAllocator.
+// Progressive filling (max-min, and the work-conserving backfill) and the
+// Varys Γ/MADD loops, shared with the coflow-scheduler suite (src/coflow):
+// same scratch, same fill loop, same MADD semantics. Every pass reads
+// width, remaining and path from the caller's Flow records and writes
+// Flow::rate in place; the records are the only copy of flow state.
+// Everything in net_detail is an implementation detail of the allocators:
+// tools and the simulator program against RateAllocator.
 #ifndef CORRAL_NET_FILL_H_
 #define CORRAL_NET_FILL_H_
 
@@ -21,7 +22,6 @@ namespace corral::net_detail {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTinyBytes = 1e-6;
-constexpr int kMaxPathLinks = 4;  // == FlowPath::links capacity
 
 // A contiguous run of flows sharing one coflow key (indices into
 // FillScratch::group_flows).
@@ -34,33 +34,20 @@ struct GroupRef {
 
 // Scratch space for rate recomputation, reusable across calls so the steady
 // state allocates nothing (the allocator runs once per simulation event
-// batch).
-//
-// The flow set is mirrored into structure-of-arrays form by load_flows():
-// the bottleneck-scan, freeze, and Varys Γ/MADD inner loops then walk dense
-// double/int arrays (width/remaining/rate plus stride-4 flattened paths)
-// instead of the full Flow records — branch-light, cache-friendly, and
-// vectorizable. Rates accumulate in `rate` and are written back to the Flow
-// records once, by store_rates().
+// batch). It holds per-link fill state, the link-to-flow CSR, the fill's
+// frozen marks and the coflow groups; flow state itself is read from the
+// Flow records.
 //
 // Concurrency contract (exec:: pool workers run whole simulations, so one
 // OS thread serves many simulations over its lifetime and several threads
 // allocate at once): the scratch is thread_local, and every pass leaves no
-// observable state — per-flow arrays are rewritten by load_flows();
-// width_on_link / load / touched are reassigned or reset via the touched
-// list each pass. The per-link CSR (link_start/link_end/link_flows) is
-// rebuilt for exactly the links in active_links, and entries behind a zero
-// width_on_link are never read. Results therefore cannot depend on which
-// worker ran the previous simulation (regression test: AllocatorConcurrency
-// in net_test).
+// observable state — frozen is reassigned per fill; width_on_link / load /
+// touched are reassigned or reset via the touched list each pass. The
+// per-link CSR (link_start/link_end/link_flows) is rebuilt for exactly the
+// links in active_links, and entries behind a zero width_on_link are never
+// read. Results therefore cannot depend on which worker ran the previous
+// simulation (regression test: AllocatorConcurrency in net_test).
 struct FillScratch {
-  // SoA mirror of the flow set (load_flows).
-  std::vector<double> width;
-  std::vector<double> remaining;
-  std::vector<double> rate;
-  std::vector<int> path_links;  // stride kMaxPathLinks per flow
-  std::vector<int> path_count;
-
   // Per-link fill state. width_on_link[link] == 0.0 marks "untouched this
   // pass"; active_links lists touched links in first-touch order (the
   // bottleneck scan iterates it, so this order is part of the deterministic
@@ -82,36 +69,43 @@ struct FillScratch {
   std::vector<int> touched;
   std::vector<std::pair<long, int>> group_flows;  // (coflow key, flow id)
   std::vector<GroupRef> groups;
-
-  void load_flows(const std::vector<Flow>& flows);
-  void store_rates(std::vector<Flow>& flows) const;
 };
 
-// Progressive filling over the scratch's SoA arrays: repeatedly saturate the
-// most constrained link and freeze the flows that cross it at the
+// Opens every allocation: checks that each flow crosses at least one link,
+// then zeroes every Flow::rate. The check runs over the whole set before
+// any rate is written, so a rejected set keeps its previous rates. MADD
+// and the fill rely on the zeros: starved and drained coflow groups get no
+// MADD rate, and the fill adds its shares on top of what is there.
+void reset_rates(std::vector<Flow>& flows);
+
+// Progressive filling over the flows: repeatedly saturate the most
+// constrained link and freeze the flows that cross it at the
 // width-weighted fair share, added on top of whatever is already in
-// scratch.rate (zero after load_flows; the MADD rates for coflow backfill).
+// Flow::rate (zero after reset_rates; the MADD rates for coflow backfill).
 // Consumes scratch.residual in place, clamping at subtraction time so a
 // frozen round can never drive a residual negative (the share computation
 // re-clamps defensively, keeping the result identical either way).
 // Returns the number of filling rounds (bottleneck links saturated).
-int progressive_fill(FillScratch& scratch, std::size_t num_links);
+int progressive_fill(FillScratch& scratch, std::vector<Flow>& flows,
+                     std::size_t num_links);
 
-// Groups the loaded flows into coflows (flows without a coflow are
-// singletons keyed -(flow)-1) and computes each group's effective bottleneck
-// Γ at full link capacity. Fills scratch.group_flows (sorted by key, flow
-// ids ascending within a run) and scratch.groups in ascending-key order.
+// Groups the flows into coflows (flows without a coflow are singletons
+// keyed -(flow)-1) and computes each group's effective bottleneck Γ at full
+// link capacity. Fills scratch.group_flows (sorted by key, flow ids
+// ascending within a run) and scratch.groups in ascending-key order.
 void build_coflow_groups(FillScratch& scratch, const std::vector<Flow>& flows,
                          const LinkSet& links);
 
 // MADD: give each coflow, in the *current* scratch.groups order, just
-// enough rate on the residual capacities to finish all its flows together.
-// Resets scratch.residual to the full link capacities first. A group that is
-// starved (a saturated link) or carries no bytes at all (gamma == 0 — e.g.
-// every flow already finished but has not been retired yet) gets no MADD
-// rate; the caller's work-conserving backfill still serves its flows. The
-// gamma guard also keeps the division safe.
-void madd_in_group_order(FillScratch& scratch, const LinkSet& links);
+// enough rate on the residual capacities to finish all its flows together,
+// written to Flow::rate. Resets scratch.residual to the full link
+// capacities first. A group that is starved (a saturated link) or carries
+// no bytes at all (gamma == 0 — e.g. every flow already finished but has
+// not been retired yet) gets no MADD rate; the caller's work-conserving
+// backfill still serves its flows. The gamma guard also keeps the division
+// safe.
+void madd_in_group_order(FillScratch& scratch, std::vector<Flow>& flows,
+                         const LinkSet& links);
 
 // One scratch per OS thread: concurrent allocations (simulation batches on
 // the exec:: pool) never share buffers, and a pool worker reuses its slot

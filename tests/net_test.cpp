@@ -216,7 +216,7 @@ TEST(Network, StorageFlowsShareTheInterconnect) {
 
 TEST(AllocatorConcurrency, ParallelAllocationsMatchSerialExactly) {
   // Regression test for the allocator's thread_local FillScratch (see
-  // net/allocator.cpp): pool workers run many allocations back to back on
+  // net/fill.h): pool workers run many allocations back to back on
   // the same OS thread, so the lazily-cleared scratch must never leak rates
   // between independent networks. Each case drives its own Network through
   // a distinct flow pattern; the parallel completion times must equal the

@@ -27,6 +27,11 @@ struct AllocatorCase {
   std::uint64_t seed;
 };
 
+// Printed by name so the listed test names are stable (see SimCase).
+void PrintTo(const AllocatorCase& c, std::ostream* os) {
+  *os << c.name;
+}
+
 class AllocatorProperty : public ::testing::TestWithParam<AllocatorCase> {};
 
 TEST_P(AllocatorProperty, NoStarvationAndCapacityRespected) {
