@@ -102,25 +102,19 @@ struct SimConfig {
   // assigned rack is healthy again.
   FaultSchedule faults;
   // Hadoop-style speculative execution: when a slot would otherwise idle, a
-  // task that has run at least speculation_min_runtime and longer than
-  // speculation_slowdown x its stage's mean completed-task duration gets
-  // one backup copy on another machine; the first finisher wins and the
-  // loser's slot time is booked as wasted work. Backups per job are capped
-  // at max(1, speculation_cap x the job's task count).
+  // task that has run at least 10 s and longer than 1.5x its stage's mean
+  // completed-task duration (same phase) gets one backup copy on another
+  // machine; the first finisher wins and the loser's slot time is booked as
+  // wasted work. Backups per job are capped at max(1, speculation_cap x the
+  // job's task count). A task retried more than 100 times fails its whole
+  // job cleanly (JobResult::failed) instead of looping forever — e.g. when
+  // every replica of its input chunk is lost.
   bool enable_speculation = false;
-  double speculation_slowdown = 1.5;
-  Seconds speculation_min_runtime = 10.0;
   double speculation_cap = 0.1;
-  // A task attempted more than this many times fails its whole job cleanly
-  // (JobResult::failed) instead of looping forever — e.g. when every
-  // replica of its input chunk is lost. Must stay below 255 (attempt ids
-  // travel as 8 bits inside flow tags).
-  int max_task_retries = 100;
   // Background DFS healing: chunks that lose a replica to a crash are
   // re-replicated from a surviving copy over real network flows (width
-  // rereplication_width, so healing competes gently with job traffic).
+  // 0.5, so healing competes gently with job traffic).
   bool enable_rereplication = true;
-  double rereplication_width = 0.5;
   std::uint64_t seed = 42;
   // Watchdog: the simulation throws if it passes this virtual time.
   Seconds max_time = 90 * kDay;
