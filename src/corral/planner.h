@@ -105,11 +105,6 @@ struct Plan {
   // cost, used by the control plane as its "replan latency" metric — wall
   // time would break the byte-identical-across-threads contract.
   std::size_t evaluated_candidates = 0;
-
-  double objective_value(Objective objective) const {
-    return objective == Objective::kMakespan ? predicted_makespan
-                                             : predicted_avg_completion;
-  }
 };
 
 // Plans from precomputed response functions. Every response function must

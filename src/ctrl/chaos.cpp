@@ -15,6 +15,15 @@ namespace {
 constexpr std::string_view kFaultNames[kChaosFaultKinds] = {
     "spike", "nan", "overrun", "corrupt", "loss", "stale", "exec", "crash"};
 
+// A predictor spike multiplies the forecast by kSpikeFactor; an exec failure
+// aborts after kAbortFraction of the predicted span. Both are mixed into
+// ChaosSpec::fingerprint, which checkpoints record, so changing either
+// makes existing checkpoints refuse to resume.
+constexpr double kSpikeFactor = 25.0;
+constexpr double kAbortFraction = 0.5;
+static_assert(kSpikeFactor > 1);
+static_assert(kAbortFraction > 0 && kAbortFraction <= 1);
+
 // Stream separation matching the control loop's seed derivation: one
 // independent stream per (epoch, fault kind).
 std::uint64_t substream(std::uint64_t seed, std::uint64_t index) {
@@ -63,8 +72,8 @@ std::uint64_t ChaosSpec::fingerprint() const {
     f.mix(static_cast<std::uint64_t>(static_cast<int>(event.fault)));
   }
   for (double rate : rates) f.mix(rate);
-  f.mix(spike_factor);
-  f.mix(abort_fraction);
+  f.mix(kSpikeFactor);
+  f.mix(kAbortFraction);
   return f.value();
 }
 
@@ -74,11 +83,6 @@ void ChaosSpec::validate() const {
             "ChaosSpec: rate for '" + std::string(kFaultNames[i]) +
                 "' must be in [0, 1]");
   }
-  require(std::isfinite(spike_factor) && spike_factor > 1,
-          "ChaosSpec: spike_factor must be > 1");
-  require(std::isfinite(abort_fraction) && abort_fraction > 0 &&
-              abort_fraction <= 1,
-          "ChaosSpec: abort_fraction must be in (0, 1]");
   for (const ChaosEvent& event : explicit_events) {
     require(event.epoch >= 0, "ChaosSpec: event epoch must be >= 0");
   }
@@ -144,10 +148,10 @@ ChaosSchedule::ChaosSchedule(const ChaosSpec& spec, int epochs, int pipelines,
     event.target = rng.uniform_int(0, pipelines - 1);
     switch (fault) {
       case ChaosFault::kPredictorSpike:
-        event.magnitude = spec.spike_factor;
+        event.magnitude = kSpikeFactor;
         break;
       case ChaosFault::kExecFailure:
-        event.magnitude = spec.abort_fraction;
+        event.magnitude = kAbortFraction;
         break;
       default:
         event.magnitude = 0;

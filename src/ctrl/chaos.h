@@ -25,7 +25,7 @@ namespace corral {
 // The control-plane fault taxonomy. Kinds marked (predictor) pick a target
 // pipeline; the rest act on the epoch as a whole.
 enum class ChaosFault : int {
-  kPredictorSpike = 0,   // (predictor) forecast multiplied by spike_factor
+  kPredictorSpike = 0,   // (predictor) forecast multiplied by 25
   kPredictorNonFinite,   // (predictor) forecast becomes NaN / +-Inf
   kPlannerOverrun,       // planning-time budget exceeded this epoch
   kCacheCorrupt,         // cached plan bytes scribbled (checksum mismatch)
@@ -61,14 +61,12 @@ struct ChaosEvent {
 struct ChaosSpec {
   std::vector<ChaosEvent> explicit_events;  // kind@epoch entries
   double rates[kChaosFaultKinds] = {0, 0, 0, 0, 0, 0, 0, 0};
-  double spike_factor = 25.0;   // predictor spike magnitude
-  double abort_fraction = 0.5;  // exec failure: fraction of predicted span
 
   bool empty() const;
   // Mixed into the control-loop config fingerprint so a checkpoint cannot
   // be resumed under a different chaos regime.
   std::uint64_t fingerprint() const;
-  void validate() const;  // rates in [0,1], factors positive, epochs >= 0
+  void validate() const;  // rates in [0,1], epochs >= 0
 };
 
 ChaosSpec parse_chaos_spec(const std::string& text);

@@ -397,10 +397,10 @@ EpochReport TenantLoop::run_epoch(int epoch,
   std::vector<BatchResult> batch;
   if (!aborted) {
     const int failing_attempts = chaos_count(ChaosFault::kExecFailure);
-    double abort_fraction = 0;
+    double abort_share = 0;
     for (const ChaosEvent& event : chaos_events) {
       if (event.fault == ChaosFault::kExecFailure) {
-        abort_fraction = event.magnitude;
+        abort_share = event.magnitude;
       }
     }
     const int max_attempts = guard.enabled ? 1 + guard.max_retries : 1;
@@ -421,8 +421,7 @@ EpochReport TenantLoop::run_epoch(int epoch,
         const Seconds horizon = report.predicted_makespan > 0
                                     ? report.predicted_makespan
                                     : 3600.0;
-        batch_case.config.abort_at_time =
-            std::max(1.0, abort_fraction * horizon);
+        batch_case.config.abort_at_time = std::max(1.0, abort_share * horizon);
       }
       // Every machine outside this tenant's grant — racks down for the
       // epoch and racks arbitrated away to other tenants alike — is failed

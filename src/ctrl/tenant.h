@@ -107,8 +107,6 @@ class TenantLoop {
   // Totals over every recorded epoch. Call once, after the last epoch.
   ControlLoopResult finish();
 
-  std::size_t pipeline_count() const { return pipelines_.size(); }
-
  private:
   const ControlLoopConfig& config_;
   std::vector<RecurringPipeline> pipelines_;

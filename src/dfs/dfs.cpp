@@ -155,8 +155,6 @@ Bytes Dfs::rack_bytes(int rack) const {
   return rack_bytes_[static_cast<std::size_t>(rack)];
 }
 
-std::vector<double> Dfs::rack_load_vector() const { return rack_bytes_; }
-
 double Dfs::rack_balance_cov() const {
   return coefficient_of_variation(rack_bytes_);
 }

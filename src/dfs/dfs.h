@@ -89,7 +89,6 @@ class Dfs {
   // least-loaded placement decisions).
   Bytes machine_bytes(int machine) const;
   Bytes rack_bytes(int rack) const;
-  std::vector<double> rack_load_vector() const;
 
   // Coefficient of variation of per-rack stored bytes — the data-balance
   // metric reported in §6.2 ("Data balance").

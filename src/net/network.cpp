@@ -19,7 +19,7 @@ Network::Network(const ClusterConfig& config,
                  std::unique_ptr<RateAllocator> allocator)
     : config_(config), links_(config), allocator_(std::move(allocator)) {
   require(allocator_ != nullptr, "Network: allocator must not be null");
-  link_bytes_.assign(static_cast<std::size_t>(links_.count()), 0.0);
+  rack_uplink_bytes_.assign(static_cast<std::size_t>(config_.racks), 0.0);
 }
 
 int Network::add_flow(Flow flow) {
@@ -159,12 +159,21 @@ const std::vector<CompletedFlow>& Network::advance(Seconds dt) {
   recompute_if_dirty();
 
   if (dt > 0) {
+    // The rack uplinks are one contiguous block of link ids.
+    const int first_uplink = links_.rack_up(0);
+    const auto racks = static_cast<unsigned>(config_.racks);
     for (Flow& flow : flows_) {
       const Bytes moved = std::min(flow.remaining, flow.rate * dt);
       flow.remaining -= moved;
-      if (flow.cross_rack) cross_rack_bytes_ += moved;
+      if (!flow.cross_rack) continue;
+      cross_rack_bytes_ += moved;
       for (int i = 0; i < flow.path.count; ++i) {
-        link_bytes_[static_cast<std::size_t>(flow.path.links[i])] += moved;
+        const auto rack =
+            static_cast<unsigned>(flow.path.links[i] - first_uplink);
+        if (rack < racks) {
+          rack_uplink_bytes_[rack] += moved;
+          break;
+        }
       }
     }
   }

@@ -39,8 +39,6 @@ class Network {
           std::unique_ptr<RateAllocator> allocator);
 
   const LinkSet& links() const { return links_; }
-  const ClusterConfig& cluster() const { return config_; }
-  RateAllocator& allocator() { return *allocator_; }
 
   // Forwards tracing to the rate allocator. `clock` points at the owning
   // simulator's virtual-time counter (read at each rate recomputation);
@@ -99,10 +97,14 @@ class Network {
   // "data transferred across racks" metric, Fig 7a).
   Bytes cross_rack_bytes() const { return cross_rack_bytes_; }
 
-  // Cumulative bytes that transited each link (indexed like LinkSet).
-  // Dividing by capacity x elapsed time gives the link's utilization —
-  // how Corral "frees up bandwidth ... for other jobs" becomes measurable.
-  const std::vector<Bytes>& link_bytes() const { return link_bytes_; }
+  // Cumulative bytes sent up each rack's uplink to the core, indexed by
+  // source rack: cross-rack machine and fan-in flows count here, storage and
+  // intra-rack flows do not. Dividing by capacity x elapsed time gives the
+  // uplink's utilization — how Corral "frees up bandwidth ... for other
+  // jobs" becomes measurable.
+  const std::vector<Bytes>& rack_uplink_bytes() const {
+    return rack_uplink_bytes_;
+  }
 
  private:
   int add_flow(Flow flow);
@@ -116,7 +118,7 @@ class Network {
   int next_flow_id_ = 0;
   bool dirty_ = false;
   Bytes cross_rack_bytes_ = 0;
-  std::vector<Bytes> link_bytes_;
+  std::vector<Bytes> rack_uplink_bytes_;
 };
 
 }  // namespace corral

@@ -241,7 +241,7 @@ class Simulator {
     rack_usable_.assign(static_cast<std::size_t>(topology_.racks()), true);
     for (int r = 0; r < topology_.racks(); ++r) {
       rack_usable_[static_cast<std::size_t>(r)] =
-          topology_.rack_usable(r, config_.rack_health_threshold);
+          topology_.rack_usable(r, kRackHealthyFraction);
     }
     jobs_.resize(jobs.size());
     std::unordered_set<int> seen_ids;
@@ -345,8 +345,8 @@ class Simulator {
     if (result.makespan > 0) {
       const BytesPerSec uplink = config_.cluster.effective_rack_uplink();
       for (int r = 0; r < topology_.racks(); ++r) {
-        const Bytes up = network_.link_bytes()[static_cast<std::size_t>(
-            network_.links().rack_up(r))];
+        const Bytes up =
+            network_.rack_uplink_bytes()[static_cast<std::size_t>(r)];
         result.rack_uplink_utilization.push_back(
             up / (uplink * result.makespan));
       }
@@ -467,7 +467,7 @@ class Simulator {
     for (int r : racks) {
       require(r >= 0 && r < topology_.racks(),
               "submit_job: policy returned bad rack");
-      if (!topology_.rack_usable(r, config_.rack_health_threshold)) {
+      if (!topology_.rack_usable(r, kRackHealthyFraction)) {
         racks.clear();
         J.constraints_dropped = true;
         break;
@@ -1071,7 +1071,7 @@ class Simulator {
     // Durable rack degradation: notify the policy once per transition so
     // planning policies can repair their plan for unstarted jobs (§7).
     if (rack_usable_[static_cast<std::size_t>(machine_rack)] &&
-        !topology_.rack_usable(machine_rack, config_.rack_health_threshold)) {
+        !topology_.rack_usable(machine_rack, kRackHealthyFraction)) {
       rack_usable_[static_cast<std::size_t>(machine_rack)] = false;
       policy_.on_rack_degraded(machine_rack, topology_, now_);
     }
@@ -1089,8 +1089,7 @@ class Simulator {
       if (!J.allowed_racks.empty() &&
           std::find(J.allowed_racks.begin(), J.allowed_racks.end(),
                     machine_rack) != J.allowed_racks.end() &&
-          !topology_.rack_usable(machine_rack,
-                                 config_.rack_health_threshold)) {
+          !topology_.rack_usable(machine_rack, kRackHealthyFraction)) {
         J.allowed_racks.clear();
         J.rack_allowed.assign(static_cast<std::size_t>(topology_.racks()),
                               true);
@@ -1198,7 +1197,7 @@ class Simulator {
                      static_cast<double>(machines_down_));
     }
     if (!rack_usable_[static_cast<std::size_t>(rack)] &&
-        topology_.rack_usable(rack, config_.rack_health_threshold)) {
+        topology_.rack_usable(rack, kRackHealthyFraction)) {
       rack_usable_[static_cast<std::size_t>(rack)] = true;
       rearm_constraints();
       policy_.on_rack_recovered(rack, topology_, now_);
@@ -1214,8 +1213,7 @@ class Simulator {
       bool all_usable = true;
       for (int r : J.planned_racks) {
         all_usable =
-            all_usable &&
-            topology_.rack_usable(r, config_.rack_health_threshold);
+            all_usable && topology_.rack_usable(r, kRackHealthyFraction);
       }
       if (!all_usable) continue;
       J.allowed_racks = J.planned_racks;

@@ -78,9 +78,6 @@ struct SimConfig {
   // declines before settling for rack-local / arbitrary map placement.
   int node_local_skips = 3;
   int rack_local_skips = 6;
-  // Minimum healthy fraction for an assigned rack; below it, Corral's
-  // constraints are dropped for the job (§3.1, §7).
-  double rack_health_threshold = 0.5;
   // §7 "Remote storage": job input lives in an external storage cluster
   // (Azure Storage / S3 style) and map tasks stream it over a shared
   // interconnect instead of reading DFS replicas. There is no input
@@ -96,8 +93,8 @@ struct SimConfig {
   // machine are dropped (and re-replicated in the background when
   // enable_rereplication is on); in-flight transfers touching the machine
   // are torn down; Corral constraints are dropped for jobs whose assigned
-  // rack falls below rack_health_threshold (§3.1, §7 "Dealing with
-  // failures"). Recover semantics: the machine rejoins the slot pool with
+  // rack has fewer than half its machines up (kRackHealthyFraction; §3.1,
+  // §7 "Dealing with failures"). Recover semantics: the machine rejoins the slot pool with
   // an empty disk, and dropped Corral constraints are re-armed once every
   // assigned rack is healthy again.
   FaultSchedule faults;

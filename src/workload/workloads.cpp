@@ -23,6 +23,20 @@ double sigma_from_tail(double p95_over_p50) {
   return std::log(p95_over_p50) / 1.645;
 }
 
+// W1 bytes read per map task, before the per-job factor in [0.5, 2].
+constexpr Bytes kW1BytesPerMap = 256 * kMB;
+
+// W2's giant jobs: "two (out of the 400) jobs are relatively large, reading
+// nearly 5.5TB each" with "nearly 1.8 times more shuffle data than input".
+constexpr int kW2GiantJobs = 2;
+constexpr Bytes kW2GiantInput = 5.5 * kTB;
+constexpr double kW2GiantShuffleRatio = 1.8;
+
+// with_placement_mix: the constrained share of the jobs and the number of
+// anti-affinity sets (see workloads.h).
+constexpr double kConstrainedFraction = 0.4;
+constexpr int kAntiAffinitySets = 2;
+
 }  // namespace
 
 std::vector<JobSpec> make_w1(const W1Config& config, Rng& rng) {
@@ -49,7 +63,7 @@ std::vector<JobSpec> make_w1(const W1Config& config, Rng& rng) {
 
     MapReduceSpec stage;
     stage.num_maps = maps;
-    stage.input_bytes = maps * config.bytes_per_map * rng.uniform(0.5, 2.0);
+    stage.input_bytes = maps * kW1BytesPerMap * rng.uniform(0.5, 2.0);
     // Task selectivities (input:output ratios) between 4:1 and 1:4 (§6.1);
     // shuffle and output sizes are drawn independently relative to input.
     stage.shuffle_bytes = stage.input_bytes * log_uniform(rng, 0.25, 4.0);
@@ -75,16 +89,16 @@ JobSizeClass classify_w1(const JobSpec& job) {
 }
 
 std::vector<JobSpec> make_w2(const W2Config& config, Rng& rng) {
-  require(config.num_jobs > config.num_giant_jobs,
+  require(config.num_jobs > kW2GiantJobs,
           "make_w2: need more jobs than giant jobs");
   std::vector<JobSpec> jobs;
   jobs.reserve(static_cast<std::size_t>(config.num_jobs));
   for (int i = 0; i < config.num_jobs; ++i) {
     MapReduceSpec stage;
-    if (i < config.num_giant_jobs) {
+    if (i < kW2GiantJobs) {
       // The two ~5.5TB jobs that determine W2's makespan (§6.2.1).
-      stage.input_bytes = config.giant_input * rng.uniform(0.95, 1.05);
-      stage.shuffle_bytes = stage.input_bytes * config.giant_shuffle_ratio;
+      stage.input_bytes = kW2GiantInput * rng.uniform(0.95, 1.05);
+      stage.shuffle_bytes = stage.input_bytes * kW2GiantShuffleRatio;
       stage.output_bytes = stage.shuffle_bytes * 0.5;
       stage.num_maps =
           static_cast<int>(std::lround(stage.input_bytes / (512 * kMB)));
@@ -169,11 +183,6 @@ void mark_ad_hoc(std::vector<JobSpec>& jobs) {
 
 std::vector<JobSpec> with_placement_mix(std::vector<JobSpec> jobs,
                                         const PlacementMixConfig& config) {
-  require(config.fraction_constrained >= 0 &&
-              config.fraction_constrained <= 1.0,
-          "with_placement_mix: fraction_constrained must be in [0,1]");
-  require(config.anti_affinity_sets >= 0,
-          "with_placement_mix: anti_affinity_sets must be >= 0");
   // Rank by total bytes moved, heaviest first; ties break by index so the
   // decoration is byte-stable across runs.
   std::vector<std::size_t> order(jobs.size());
@@ -187,10 +196,9 @@ std::vector<JobSpec> with_placement_mix(std::vector<JobSpec> jobs,
     return a < b;
   });
   const std::size_t constrained = static_cast<std::size_t>(
-      std::lround(config.fraction_constrained *
-                  static_cast<double>(jobs.size())));
-  const std::size_t affinity_jobs = std::min(
-      order.size(), 2 * static_cast<std::size_t>(config.anti_affinity_sets));
+      std::lround(kConstrainedFraction * static_cast<double>(jobs.size())));
+  const std::size_t affinity_jobs =
+      std::min(order.size(), std::size_t{2 * kAntiAffinitySets});
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     PlacementSpec& placement = jobs[order[rank]].placement;
     if (rank < constrained && !config.resource_class.empty()) {
@@ -198,12 +206,9 @@ std::vector<JobSpec> with_placement_mix(std::vector<JobSpec> jobs,
       placement.resource_units = config.resource_units;
     }
     if (rank < affinity_jobs) {
-      placement.anti_affinity =
-          static_cast<int>(rank) % config.anti_affinity_sets;
+      placement.anti_affinity = static_cast<int>(rank) % kAntiAffinitySets;
     }
-    if (rank == 0 && config.exclusive_heaviest) {
-      placement.rack_exclusive = true;
-    }
+    if (rank == 0) placement.rack_exclusive = true;
     placement.validate();
   }
   return jobs;

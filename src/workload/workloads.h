@@ -20,13 +20,12 @@ namespace corral {
 // W1: constructed from the Quantcast workloads "to incorporate a wider range
 // of job types, by varying the job size, and task selectivities". Job sizes
 // are small (<= 50 tasks), medium (<= 500) and large (>= 1000); input:output
-// selectivities range over [4:1, 1:4].
+// selectivities range over [4:1, 1:4]. Map tasks read 256 MB each, scaled
+// by a per-job factor in [0.5, 2].
 struct W1Config {
   int num_jobs = 200;
   double fraction_small = 0.50;
   double fraction_medium = 0.35;  // remainder is large
-  // Bytes read per map task; scaled by a per-job factor in [0.5, 2].
-  Bytes bytes_per_map = 256 * kMB;
   // Scales task counts uniformly (used to shrink the Fig 14 instance while
   // keeping the workload's shape; 1.0 reproduces the paper's W1).
   double task_scale = 1.0;
@@ -48,9 +47,6 @@ JobSizeClass classify_w1(const JobSpec& job);
 // with "nearly 1.8 times more shuffle data than input".
 struct W2Config {
   int num_jobs = 400;
-  int num_giant_jobs = 2;
-  Bytes giant_input = 5.5 * kTB;
-  double giant_shuffle_ratio = 1.8;
 };
 std::vector<JobSpec> make_w2(const W2Config& config, Rng& rng);
 
@@ -74,21 +70,16 @@ void mark_ad_hoc(std::vector<JobSpec>& jobs);
 // Placement-constrained variant of a workload (bench_policy_matrix's
 // "w1-constrained" cells; docs/coflow.md "Placement constraints"). The
 // decoration is a deterministic function of the job sizes, no RNG: the
-// heaviest `fraction_constrained` of the jobs — the ones that shape the
-// network schedule — are pinned to the racks equipped with
-// `resource_class` (which the cluster must declare via
-// ClusterConfig::resource_classes), the top 2 * `anti_affinity_sets` of
-// those additionally split into availability sets demanding pairwise
-// disjoint racks, and the single heaviest job claims rack exclusivity when
-// `exclusive_heaviest` is set. Concentrating the big shuffles on a few
-// shared racks is what makes coflow-policy orderings flip relative to the
-// unconstrained workload.
+// heaviest 40% of the jobs — the ones that shape the network schedule — are
+// pinned to the racks equipped with `resource_class` (which the cluster must
+// declare via ClusterConfig::resource_classes), the four heaviest are split
+// into two availability sets demanding pairwise disjoint racks, and the
+// single heaviest job claims rack exclusivity. Concentrating the big
+// shuffles on a few shared racks is what makes coflow-policy orderings flip
+// relative to the unconstrained workload.
 struct PlacementMixConfig {
-  double fraction_constrained = 0.4;
-  int anti_affinity_sets = 2;
   std::string resource_class = "accel";
   int resource_units = 1;
-  bool exclusive_heaviest = true;
 };
 std::vector<JobSpec> with_placement_mix(std::vector<JobSpec> jobs,
                                         const PlacementMixConfig& config);

@@ -82,26 +82,6 @@ TEST(Batch, MatchesSerialRunsInSubmissionOrder) {
   expect_identical(batch[1].result, serial_b);
 }
 
-TEST(Batch, RunPoliciesLabelsFromPolicyName) {
-  const SimConfig sim = small_sim();
-  const auto jobs = small_jobs(33, 6);
-  std::vector<std::function<std::unique_ptr<SchedulingPolicy>()>> factories;
-  factories.push_back([]() -> std::unique_ptr<SchedulingPolicy> {
-    return std::make_unique<YarnCapacityPolicy>();
-  });
-  const int slots_per_rack = sim.cluster.slots_per_rack();
-  factories.push_back([slots_per_rack]() -> std::unique_ptr<SchedulingPolicy> {
-    return std::make_unique<ShuffleWatcherPolicy>(slots_per_rack);
-  });
-
-  exec::ThreadPool pool(2);
-  const auto batch = BatchRunner(&pool).run_policies(jobs, sim, factories);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].label, batch[0].result.policy_name);
-  EXPECT_EQ(batch[1].label, batch[1].result.policy_name);
-  EXPECT_NE(batch[0].label, batch[1].label);
-}
-
 TEST(Batch, MissingFactoryIsRejected) {
   std::vector<BatchCase> cases(1);
   cases[0].jobs = small_jobs(44, 3);
