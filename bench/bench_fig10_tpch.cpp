@@ -32,15 +32,11 @@ int main(int argc, char** argv) {
   std::vector<JobSpec> all = queries;
   all.insert(all.end(), background.begin(), background.end());
 
-  const SimConfig sim = bench::default_sim(bench::testbed());
   // Case (i): queries planned and run by Corral (background stays ad hoc).
-  const auto planned = bench::plan_workload(all, sim.cluster,
-                                            Objective::kAverageCompletionTime);
-  CorralPolicy corral(&planned.lookup);
-  const SimResult with_corral = run_simulation(all, corral, sim);
   // Case (ii): everything under Yarn-CS.
-  YarnCapacityPolicy yarn;
-  const SimResult with_yarn = run_simulation(all, yarn, sim);
+  const auto [with_yarn, with_corral] = bench::run_yarn_and_corral(
+      all, Objective::kAverageCompletionTime,
+      bench::default_sim(bench::testbed()));
 
   std::vector<double> corral_jct, yarn_jct;
   for (std::size_t i = 0; i < queries.size(); ++i) {

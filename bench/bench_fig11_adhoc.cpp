@@ -26,13 +26,9 @@ int main(int argc, char** argv) {
   std::vector<JobSpec> all = recurring;
   all.insert(all.end(), adhoc.begin(), adhoc.end());
 
-  const SimConfig sim = bench::default_sim(bench::testbed());
-  const auto planned = bench::plan_workload(all, sim.cluster,
-                                            Objective::kAverageCompletionTime);
-  CorralPolicy corral(&planned.lookup);
-  const SimResult with_corral = run_simulation(all, corral, sim);
-  YarnCapacityPolicy yarn;
-  const SimResult with_yarn = run_simulation(all, yarn, sim);
+  const auto [with_yarn, with_corral] = bench::run_yarn_and_corral(
+      all, Objective::kAverageCompletionTime,
+      bench::default_sim(bench::testbed()));
 
   std::vector<double> cor_rec, yarn_rec, cor_adhoc, yarn_adhoc;
   double cor_adhoc_makespan = 0, yarn_adhoc_makespan = 0;

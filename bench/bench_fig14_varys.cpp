@@ -38,42 +38,39 @@ int main(int argc, char** argv) {
 
   struct Combo {
     const char* label;
-    bool corral;
+    std::size_t policy;  // policy_cases order: 0 = yarn, 1 = corral
     NetPolicy net;
-    std::vector<double> jct;
   };
-  std::vector<Combo> combos = {
-      {"yarn-cs + tcp", false, NetPolicy::kTcp, {}},
-      {"yarn-cs + varys", false, NetPolicy::kVarys, {}},
-      {"corral  + tcp", true, NetPolicy::kTcp, {}},
-      {"corral  + varys", true, NetPolicy::kVarys, {}}};
+  const Combo combos[] = {{"yarn-cs + tcp", 0, NetPolicy::kTcp},
+                          {"yarn-cs + varys", 0, NetPolicy::kVarys},
+                          {"corral  + tcp", 1, NetPolicy::kTcp},
+                          {"corral  + varys", 1, NetPolicy::kVarys}};
 
-  for (Combo& combo : combos) {
+  // The four simulations run as one batch on the bench pool.
+  std::vector<BatchCase> cases;
+  for (const Combo& combo : combos) {
     SimConfig config = sim;
     config.net_policy = combo.net;
-    SimResult result;
-    if (combo.corral) {
-      CorralPolicy policy(&planned.lookup);
-      result = run_simulation(jobs, policy, config);
-    } else {
-      YarnCapacityPolicy policy;
-      result = run_simulation(jobs, policy, config);
-    }
-    combo.jct = result.completion_times();
+    cases.push_back(std::move(bench::policy_cases(
+        jobs, planned, config, std::string(to_string(combo.net)) + "/",
+        /*include_shufflewatcher=*/false)[combo.policy]));
   }
+  const std::vector<BatchResult> batch = bench::run_traced(cases);
 
   std::printf("\n%-18s %12s %12s %12s\n", "combination", "median (s)",
               "mean (s)", "p90 (s)");
-  for (const Combo& combo : combos) {
-    std::printf("%-18s %12.1f %12.1f %12.1f\n", combo.label,
-                percentile(combo.jct, 50), mean(combo.jct),
-                percentile(combo.jct, 90));
+  std::vector<double> medians;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<double> jct = batch[i].result.completion_times();
+    medians.push_back(percentile(jct, 50));
+    std::printf("%-18s %12.1f %12.1f %12.1f\n", combos[i].label,
+                medians.back(), mean(jct), percentile(jct, 90));
   }
 
-  const double yarn_tcp = percentile(combos[0].jct, 50);
-  const double yarn_varys = percentile(combos[1].jct, 50);
-  const double corral_tcp = percentile(combos[2].jct, 50);
-  const double corral_varys = percentile(combos[3].jct, 50);
+  const double yarn_tcp = medians[0];
+  const double yarn_varys = medians[1];
+  const double corral_tcp = medians[2];
+  const double corral_varys = medians[3];
   std::printf("\nMedian JCT reductions:\n");
   std::printf("  yarn+varys  vs yarn+tcp:    %s  (paper: ~46%%)\n",
               bench::pct(reduction(yarn_tcp, yarn_varys)).c_str());
