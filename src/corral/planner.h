@@ -67,8 +67,8 @@ struct PlannerConfig {
   // records a "provision" span, per-candidate evaluations (at trace level
   // tasks) and per-job "assign" events into `tracer->sink(trace_sink)`.
   // Timestamps are logical step indices unless the tracer opted into wall
-  // clock. Candidate events are recorded on the calling thread after each
-  // parallel evaluation block, in step order, so the decision log is
+  // clock. Candidate events are recorded on the calling thread after the
+  // parallel evaluation, in step order, so the decision log is
   // byte-identical at any pool width.
   obs::Tracer* tracer = nullptr;
   int trace_sink = 0;
