@@ -32,8 +32,10 @@ std::vector<JobInstance> generate_history(const RecurringJobTemplate& tmpl,
           2.0 * M_PI * (static_cast<double>(run) / tmpl.runs_per_day);
       const double diurnal =
           1.0 + tmpl.hourly_amplitude * std::sin(phase - M_PI / 2.0);
-      // Log-normal multiplicative noise with unit median.
-      const double noise = std::exp(rng.normal(0.0, tmpl.noise));
+      // Log-normal multiplicative noise with unit median. A unit draw
+      // scaled by the noise takes the same engine draws as a draw at that
+      // stddev, and stays defined when the noise is zero.
+      const double noise = std::exp(rng.normal(0.0, 1.0) * tmpl.noise);
       history.push_back(JobInstance{
           day, run, tmpl.base_input * season * drift * diurnal * noise});
     }
