@@ -147,11 +147,12 @@ int main(int argc, char** argv) {
                 std::string(to_string(sim.net_policy)).c_str());
     std::printf("jobs:              %zu\n", result.jobs.size());
     std::printf("makespan:          %.1f s\n", result.makespan);
-    std::printf("avg completion:    %.1f s\n", result.avg_completion());
-    if (jct.empty()) {  // every job failed: no completion time to rank
+    if (jct.empty()) {  // every job failed: no completion time to average
+      std::printf("avg completion:    n/a\n");
       std::printf("median completion: n/a\n");
       std::printf("p90 completion:    n/a\n");
     } else {
+      std::printf("avg completion:    %.1f s\n", result.avg_completion());
       std::printf("median completion: %.1f s\n", result.median_completion());
       std::printf("p90 completion:    %.1f s\n", percentile(jct, 90));
     }
